@@ -89,14 +89,21 @@ class _Options:
 
     def get(self, key: str, default, cast):
         flag = self.args.get(key)
+        env_name = ENV_PREFIX + key.upper()
+        if flag is not None and not isinstance(flag, str):
+            return flag  # store_const flags arrive typed
         if flag is not None:
-            return cast(flag) if isinstance(flag, str) else flag
-        env = os.environ.get(ENV_PREFIX + key.upper())
-        if env is not None:
-            return cast(env)
-        if key in self.config:
-            return cast(self.config[key])
-        return default
+            source, text = "--" + key.replace("_", "-"), flag
+        elif env_name in os.environ:
+            source, text = env_name, os.environ[env_name]
+        elif key in self.config:
+            source, text = f"config key {key}", self.config[key]
+        else:
+            return default
+        try:
+            return cast(text)
+        except ValueError as exc:
+            raise UsageError(f"{source}: invalid value {text!r} ({exc})") from exc
 
 
 def _density_token(density: float) -> str:
@@ -124,7 +131,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     n_values = opts.get("n", (10, 20, 30, 40, 50), _parse_int_list)
     densities = opts.get("densities", (0.3, 0.6, 0.9), _parse_float_list)
     modes = opts.get("modes", ALL_MODES, _parse_modes)
-    condition = opts.get("condition", False, _parse_bool)
     analytic_only = opts.get("analytic_only", False, _parse_bool)
     out_dir = Path(opts.get("out_dir", "out/simulate", str))
 
@@ -136,7 +142,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         n=",".join(str(v) for v in n_values),
         densities=",".join(f"{d:g}" for d in densities),
         modes=_mode_values(modes),
-        condition=str(condition).lower(),
         analytic_only=str(analytic_only).lower(),
     )
 
@@ -174,15 +179,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"analytic summary written to {out_dir}", file=sys.stderr)
         return EXIT_OK
 
-    config = ExperimentConfig(
-        n_values=n_values,
-        densities=densities,
-        samples=samples,
-        k_nn=k_nn,
-        seed=seed,
-        modes=modes,
-        condition_on_own=condition,
-    )
+    try:
+        config = ExperimentConfig(
+            n_values=n_values,
+            densities=densities,
+            samples=samples,
+            k_nn=k_nn,
+            seed=seed,
+            modes=modes,
+        )
+    except ValueError as exc:  # an option value out of range
+        raise UsageError(str(exc)) from exc
     print(
         f"[simulate] {len(n_values)} node counts x {len(densities)} densities "
         f"x {len(modes)} modes, {samples} samples",
@@ -243,21 +250,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         write_edge_list(graph, out_dir / name)
         graph_names.append(name)
 
-    svg_path = out_dir / "leakage_relative.svg"
-    series = _summary_series(summary_rows, value_idx=6)
-    atomic_write_text(
-        svg_path,
-        svg_line_chart(
-            series,
-            "Relative leakage by mode",
-            "nodes n",
-            "relative mutual information (mode / cfl)",
-        ),
-    )
-
     manifest["output_pairs"] = pairs_path.name
     manifest["output_summary"] = summary_path.name
-    manifest["output_svg"] = svg_path.name
+    if Mode.CFL in modes:  # relative leakage is relative to cfl
+        svg_path = out_dir / "leakage_relative.svg"
+        series = _summary_series(summary_rows, value_idx=6)
+        atomic_write_text(
+            svg_path,
+            svg_line_chart(
+                series,
+                "Relative leakage by mode",
+                "nodes n",
+                "relative mutual information (mode / cfl)",
+            ),
+        )
+        manifest["output_svg"] = svg_path.name
     for idx, name in enumerate(graph_names):
         manifest[f"output_graph_{idx}"] = name
     write_manifest(out_dir / "manifest.txt", manifest)
@@ -513,18 +520,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", help="comma-separated node counts (or one count)")
         p.add_argument("--densities", help="comma-separated target densities")
         p.add_argument("--modes", help="comma-separated subset of cfl,cfl_sa,dfl,dfl_sa")
-        p.add_argument("--tol", help="tolerance for chain verification")
 
     sim = sub.add_parser("simulate", help="run the leakage sweep")
     add_common(sim)
     sim.add_argument("--samples", help="Monte-Carlo draws per variable")
     sim.add_argument("--knn-k", dest="knn_k", help="kNN estimator neighbor count")
-    sim.add_argument(
-        "--condition",
-        action="store_const",
-        const=True,
-        help="condition estimates on the adversary's own gradient",
-    )
     sim.add_argument(
         "--analytic-only",
         dest="analytic_only",

@@ -11,10 +11,10 @@ much the mode's observation reveals about G_i:
 
 and averages over all (k, i) pairs. Because G_k is independent of the
 rest, conditioning on it equals dropping the known term from the
-aggregate; the fast path (default) exploits that identity and runs the
-unconditional estimator on the reduced observation. Setting
-condition_on_own=True keeps the conditional estimator instead; the two
-agree within estimator noise (asserted by the test suite).
+observation, so the unconditional KSG estimator runs on the reduced
+observation (the identity under which Kraskov-Stoegbauer-Grassberger
+and Frenzel-Pompe agree). The test suite checks the averages against
+knn_cmi on the full observation.
 
 Self-information I(G_i; G_i) diverges for continuous variables: the
 estimator reports its finite value at the given sample count, never a
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Container, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -39,7 +39,6 @@ from .infotheory import (
     _strict_counts,
     analytic_mi_cfl_sa,
     analytic_mi_dfl_sa,
-    knn_cmi,
     knn_mi,
 )
 from .protocol import ALL_MODES, Mode
@@ -69,8 +68,8 @@ __all__ = [
     "cell_seed_sequences",
 ]
 
-# Matrix-based estimator path allocates O(samples^2) floats; beyond this
-# many samples fall back to per-pair tree queries.
+# Multi-column observations up to this many samples are counted on an
+# N x N max-norm distance matrix; beyond it, on kd-trees.
 _MATRIX_PATH_MAX_SAMPLES = 4000
 
 
@@ -84,7 +83,6 @@ class ExperimentConfig:
     k_nn: int = 3
     seed: int = 0
     modes: tuple[Mode, ...] = ALL_MODES
-    condition_on_own: bool = False
     corrupt_subsample: int | None = None
 
     def __post_init__(self):
@@ -186,58 +184,110 @@ def draw_gradient_samples(n: int, samples: int, seed) -> SampleMatrix:
 
 
 class _CellEstimator:
-    """Scratch-sharing KSG evaluator for the many estimates in one cell.
+    """KSG evaluator shared by the many estimates in one cell.
 
-    Produces values identical to knn_mi / knn_cmi (same radii, same
-    strict counts) while reusing distance-matrix buffers and per-column
-    kd-trees across the O(n^2) pair evaluations.
+    mi(i) gives exactly knn_mi(observation, G_i) (same radii, same
+    strict counts) for the observation last passed to observe(). A
+    multi-column observation of at most _MATRIX_PATH_MAX_SAMPLES rows is
+    counted on its max-norm distance matrix; any other on kd-trees. The
+    observation's matrix or tree is built once, on first use; target
+    column trees and self-information are cached for the whole cell.
     """
 
     def __init__(self, data: np.ndarray, k: int):
         self.data = data
         self.k = k
-        n_samples = data.shape[0]
-        self._psi_k = float(digamma(k))
-        self._psi_n = float(digamma(n_samples))
+        self._psi = float(digamma(k)) + float(digamma(data.shape[0]))
         self._column_trees: dict[int, cKDTree] = {}
-        self._tmp = np.empty((n_samples, n_samples))
-        self._joint = np.empty((n_samples, n_samples))
+        self._self_mi: dict[int, float] = {}
+        self._scratch: tuple[np.ndarray, np.ndarray] | None = None
+        self._x: np.ndarray | None = None
+        self._x_tree: cKDTree | None = None
+        self._x_dist: np.ndarray | None = None
 
-    def column_tree(self, idx: int) -> cKDTree:
-        if idx not in self._column_trees:
-            self._column_trees[idx] = cKDTree(self.data[:, idx, None])
-        return self._column_trees[idx]
+    def self_mi(self, i: int) -> float:
+        """I(G_i; G_i): the term of a target the observation shows."""
+        if i not in self._self_mi:
+            column = self.data[:, i]
+            self._self_mi[i] = knn_mi(column, column, k=self.k).value
+        return self._self_mi[i]
 
-    def mi_1d(self, x: np.ndarray, y_idx: int, tree_x: cKDTree) -> float:
-        """I(x; column y_idx) with both marginals one-dimensional."""
-        y = self.data[:, y_idx]
-        radii = _kth_neighbor_radius(np.column_stack([x, y]), self.k)
-        cx = _strict_counts(x[:, None], radii, tree=tree_x)
-        cy = _strict_counts(y[:, None], radii, tree=self.column_tree(y_idx))
-        return self._psi_k + self._psi_n - float(np.mean(digamma(cx) + digamma(cy)))
+    def observe(self, observed: np.ndarray) -> None:
+        """Make observed, an (N,) or (N, d) array, the one mi() scores."""
+        self._x = observed.reshape(len(observed), -1)
+        self._x_tree = self._x_dist = None
 
-    def chebyshev_matrix(self, columns: np.ndarray) -> np.ndarray:
-        """Pairwise max-norm distances for points given as (N, d) columns."""
-        dm = np.zeros_like(self._tmp)
-        for c in range(columns.shape[1]):
-            col = columns[:, c]
-            np.subtract.outer(col, col, out=self._tmp)
-            np.abs(self._tmp, out=self._tmp)
-            np.maximum(dm, self._tmp, out=dm)
-        return dm
+    def mi(self, i: int) -> float:
+        """I(observation; G_i) in nats."""
+        n_samples, d = self._x.shape
+        if d > 1 and n_samples <= _MATRIX_PATH_MAX_SAMPLES:
+            cx, cy = self._matrix_counts(i)
+        else:
+            cx, cy = self._tree_counts(i)
+        return self._psi - float(np.mean(digamma(cx) + digamma(cy)))
 
-    def mi_fixed_set(self, dx: np.ndarray, y_idx: int) -> float:
-        """I(X; column y_idx) from X's precomputed distance matrix."""
-        y = self.data[:, y_idx]
-        dy = self._tmp
+    def _tree_counts(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        y = self.data[:, i, None]
+        radii = _kth_neighbor_radius(np.hstack([self._x, y]), self.k)
+        if self._x_tree is None:
+            self._x_tree = cKDTree(self._x)
+        if i not in self._column_trees:
+            self._column_trees[i] = cKDTree(y)
+        return (
+            _strict_counts(self._x, radii, tree=self._x_tree),
+            _strict_counts(y, radii, tree=self._column_trees[i]),
+        )
+
+    def _matrix_counts(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        n_samples = self._x.shape[0]
+        if self._scratch is None:
+            shape = (n_samples, n_samples)
+            self._scratch = (np.empty(shape), np.empty(shape))
+        dy, joint = self._scratch
+        if self._x_dist is None:
+            self._x_dist = np.zeros((n_samples, n_samples))
+            for column in self._x.T:
+                np.subtract.outer(column, column, out=dy)
+                np.abs(dy, out=dy)
+                np.maximum(self._x_dist, dy, out=self._x_dist)
+        y = self.data[:, i]
         np.subtract.outer(y, y, out=dy)
         np.abs(dy, out=dy)
-        np.maximum(dx, dy, out=self._joint)
-        self._joint.partition(self.k, axis=1)
-        strict = np.nextafter(self._joint[:, self.k], 0.0)[:, None]
-        cx = np.count_nonzero(dx <= strict, axis=1)
-        cy = np.count_nonzero(dy <= strict, axis=1)
-        return self._psi_k + self._psi_n - float(np.mean(digamma(cx) + digamma(cy)))
+        np.maximum(self._x_dist, dy, out=joint)
+        joint.partition(self.k, axis=1)
+        strict = np.nextafter(joint[:, self.k], 0.0)[:, None]
+        return (
+            np.count_nonzero(self._x_dist <= strict, axis=1),
+            np.count_nonzero(dy <= strict, axis=1),
+        )
+
+
+def _reduced_observation(
+    mode: Mode,
+    data: np.ndarray,
+    k: int,
+    graph: Graph | None,
+    weights: WeightMatrix | None,
+) -> tuple[np.ndarray, Container[int]]:
+    """What corrupt node k observes once its own term is dropped, and
+    the targets whose gradient that observation shows directly.
+
+    CFL has no corrupt node (k is -1) and shows every gradient. The
+    reduced sums are taken from the samples directly, not as n times the
+    average minus the own term, whose rounding differs in the last bits.
+    """
+    n = data.shape[1]
+    if mode is Mode.CFL:
+        return data, range(n)
+    if mode is Mode.CFL_SA:
+        return data.sum(axis=1) - data[:, k], ()
+    if mode is Mode.DFL_SA:
+        row = weights.row(k)
+        return data @ row - row[k] * data[:, k], ()
+    nbrs = graph.neighbors(k)
+    if len(nbrs) == 0:
+        raise ValueError(f"dfl: corrupt node {k} has no neighbors, so it observes nothing")
+    return data[:, nbrs], frozenset(nbrs.tolist())
 
 
 def estimate_mode_leakage(
@@ -246,16 +296,15 @@ def estimate_mode_leakage(
     graph: Graph | None = None,
     weights: WeightMatrix | None = None,
     k_nn: int = 3,
-    condition_on_own: bool = False,
     corrupt_nodes: Sequence[int] | None = None,
 ) -> ModeLeakage:
     """Estimate one mode's leakage table over (corrupt, target) pairs.
 
-    Observation scalars are built exactly as the adversary would see
-    them (average, neighbor set, or weighted aggregate); targets whose
-    own gradient is part of the observation contribute the self term
-    I(G_i; G_i). corrupt_nodes restricts the enumeration of k (an
-    unbiased subsample of the same average); None enumerates all nodes.
+    Targets whose own gradient is part of the observation contribute the
+    self term I(G_i; G_i); every other target gets one KSG estimate
+    against the reduced observation. corrupt_nodes restricts the
+    enumeration of k (an unbiased subsample of the same average); None
+    enumerates all nodes. CFL involves no corrupt node and ignores it.
     """
     data = samples.data
     n = samples.n_variables
@@ -266,89 +315,43 @@ def estimate_mode_leakage(
     if graph is not None and graph.n != n:
         raise ValueError(f"graph has n={graph.n} but samples have {n} columns")
 
-    est = _CellEstimator(data, k_nn)
-    self_mi_cache: dict[int, float] = {}
-
-    def self_mi(i: int) -> float:
-        if i not in self_mi_cache:
-            self_mi_cache[i] = knn_mi(data[:, i], data[:, i], k=k_nn).value
-        return self_mi_cache[i]
-
-    pairs: list[tuple[int, int, float]] = []
-
     if mode is Mode.CFL:
-        # Every gradient is visible, so the term for target i is its
-        # self-information; no corrupt-node enumeration is involved.
-        for i in range(n):
-            pairs.append((-1, i, self_mi(i)))
+        corrupt_iter: Sequence[int] = (-1,)
+    elif corrupt_nodes is None:
+        corrupt_iter = range(n)
     else:
-        corrupt_iter = range(n) if corrupt_nodes is None else sorted(corrupt_nodes)
-        column_sum = data.sum(axis=1)
-        mean_all = column_sum / n
-        for k in corrupt_iter:
-            own = data[:, k]
-            if mode is Mode.CFL_SA:
-                reduced = column_sum - own
-                tree_x = None if condition_on_own else cKDTree(reduced[:, None])
-                for i in range(n):
-                    if i == k:
-                        continue
-                    if condition_on_own:
-                        v = knn_cmi(mean_all, data[:, i], own, k=k_nn).value
-                    else:
-                        v = est.mi_1d(reduced, i, tree_x)
-                    pairs.append((k, i, v))
-            elif mode is Mode.DFL:
-                nbrs = graph.neighbors(k)
-                nbr_data = data[:, nbrs]
-                use_matrix = (
-                    not condition_on_own
-                    and len(nbrs) > 0
-                    and samples.n_samples <= _MATRIX_PATH_MAX_SAMPLES
-                )
-                dx = est.chebyshev_matrix(nbr_data) if use_matrix else None
-                nbr_set = set(int(j) for j in nbrs)
-                for i in range(n):
-                    if i == k:
-                        continue
-                    if i in nbr_set:
-                        if condition_on_own:
-                            v = knn_cmi(data[:, i], data[:, i], own, k=k_nn).value
-                        else:
-                            v = self_mi(i)
-                    elif condition_on_own:
-                        v = knn_cmi(nbr_data, data[:, i], own, k=k_nn).value
-                    elif dx is not None:
-                        v = est.mi_fixed_set(dx, i)
-                    else:
-                        v = knn_mi(nbr_data, data[:, i], k=k_nn).value
-                    pairs.append((k, i, v))
-            else:  # DFL_SA
-                row = weights.row(k)
-                aggregate = data @ row
-                reduced = aggregate - row[k] * own
-                tree_x = None if condition_on_own else cKDTree(reduced[:, None])
-                for i in range(n):
-                    if i == k:
-                        continue
-                    if condition_on_own:
-                        v = knn_cmi(aggregate, data[:, i], own, k=k_nn).value
-                    else:
-                        v = est.mi_1d(reduced, i, tree_x)
-                    pairs.append((k, i, v))
+        corrupt_iter = sorted(corrupt_nodes)
+    est = _CellEstimator(data, k_nn)
+    pairs: list[tuple[int, int, float]] = []
+    for k in corrupt_iter:
+        observed, visible = _reduced_observation(mode, data, k, graph, weights)
+        est.observe(observed)
+        for i in range(n):
+            if i != k:
+                pairs.append((k, i, est.self_mi(i) if i in visible else est.mi(i)))
 
     average = float(np.mean([p[2] for p in pairs]))
     return ModeLeakage(mode=mode, pairs=tuple(pairs), average=average)
 
 
-def _pair_analytic(
-    mode: Mode, n: int, corrupt: int, target: int, weights: WeightMatrix | None
-) -> float:
+def _closed_forms(
+    mode: Mode, n: int, weights: WeightMatrix | None = None
+) -> tuple[dict[tuple[int, int], float], float]:
+    """Closed-form leakage of every (corrupt k, target i) pair, k != i,
+    and its average over those pairs.
+
+    Only the secure-aggregation modes have closed forms: CFL_SA from
+    n = 3 on, DFL_SA given its weight matrix. Otherwise the table is
+    empty and the average NaN.
+    """
+    pairs = [(k, i) for k in range(n) for i in range(n) if i != k]
     if mode is Mode.CFL_SA and n >= 3:
-        return analytic_mi_cfl_sa(n)
+        value = analytic_mi_cfl_sa(n)
+        return dict.fromkeys(pairs, value), value
     if mode is Mode.DFL_SA and weights is not None:
-        return analytic_mi_dfl_sa(weights, corrupt, target)
-    return math.nan
+        table = {(k, i): analytic_mi_dfl_sa(weights, k, i) for k, i in pairs}
+        return table, float(np.mean(list(table.values())))
+    return {}, math.nan
 
 
 def cell_seed_sequences(seed: int, n: int, density: float):
@@ -370,24 +373,21 @@ def analytic_cell_average(
 ) -> tuple[float, float]:
     """Closed-form cell average and the realized graph density.
 
-    Only the secure-aggregation modes have closed forms. The graph for
-    DFL_SA is derived from (seed, n, density) exactly as run_experiment
-    derives it, so analytic values line up with estimated cells.
+    The graph for DFL_SA is derived from (seed, n, density) exactly as
+    run_experiment derives it, so analytic values line up with
+    estimated cells. Raises ValueError where no closed form exists.
     """
-    if mode is Mode.CFL_SA:
-        return analytic_mi_cfl_sa(n), math.nan
-    if mode is not Mode.DFL_SA:
-        raise ValueError(f"no closed form for mode {mode.value}")
-    _, graph_seed, _ = cell_seed_sequences(seed, n, density)
-    graph = generate_graph(n, density, graph_seed)
-    w = metropolis_weights(graph)
-    values = [
-        analytic_mi_dfl_sa(w, k, i)
-        for k in range(n)
-        for i in range(n)
-        if i != k
-    ]
-    return float(np.mean(values)), graph_density(graph)
+    weights = None
+    actual_density = math.nan
+    if mode is Mode.DFL_SA:
+        _, graph_seed, _ = cell_seed_sequences(seed, n, density)
+        graph = generate_graph(n, density, graph_seed)
+        weights = metropolis_weights(graph)
+        actual_density = graph_density(graph)
+    _, average = _closed_forms(mode, n, weights)
+    if math.isnan(average):
+        raise ValueError(f"no closed form for mode {mode.value} at n={n}")
+    return average, actual_density
 
 
 def run_experiment(config: ExperimentConfig) -> LeakageReport:
@@ -419,6 +419,7 @@ def run_experiment(config: ExperimentConfig) -> LeakageReport:
                     for v in rng.choice(n, size=config.corrupt_subsample, replace=False)
                 )
             averages: dict[Mode, float] = {}
+            analytic: dict[Mode, float] = {}
             for mode in config.modes:
                 result = estimate_mode_leakage(
                     mode,
@@ -426,10 +427,10 @@ def run_experiment(config: ExperimentConfig) -> LeakageReport:
                     graph=graph,
                     weights=w,
                     k_nn=config.k_nn,
-                    condition_on_own=config.condition_on_own,
                     corrupt_nodes=corrupt_nodes,
                 )
                 averages[mode] = result.average
+                closed, analytic[mode] = _closed_forms(mode, n, w)
                 for corrupt, target, value in result.pairs:
                     report.pairs.append(
                         PairLeakage(
@@ -439,22 +440,11 @@ def run_experiment(config: ExperimentConfig) -> LeakageReport:
                             corrupt=corrupt,
                             target=target,
                             mi_nats=value,
-                            mi_analytic=_pair_analytic(mode, n, corrupt, target, w),
+                            mi_analytic=closed.get((corrupt, target), math.nan),
                         )
                     )
             cfl_avg = averages.get(Mode.CFL, math.nan)
             for mode in config.modes:
-                analytic = math.nan
-                if mode is Mode.CFL_SA and n >= 3:
-                    analytic = analytic_mi_cfl_sa(n)
-                elif mode is Mode.DFL_SA and w is not None:
-                    vals = [
-                        analytic_mi_dfl_sa(w, k, i)
-                        for k in range(n)
-                        for i in range(n)
-                        if i != k
-                    ]
-                    analytic = float(np.mean(vals))
                 report.summary.append(
                     CellSummary(
                         mode=mode,
@@ -462,7 +452,7 @@ def run_experiment(config: ExperimentConfig) -> LeakageReport:
                         density=density,
                         actual_density=actual_density if mode.decentralized else math.nan,
                         leakage_nats=averages[mode],
-                        analytic_nats=analytic,
+                        analytic_nats=analytic[mode],
                         relative=averages[mode] / cfl_avg if cfl_avg else math.nan,
                     )
                 )

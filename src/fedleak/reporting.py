@@ -22,8 +22,6 @@ __all__ = [
     "write_csv",
     "read_csv",
     "write_pgm",
-    "write_trace_csv",
-    "write_observation_log",
     "Series",
     "svg_line_chart",
     "write_manifest",

@@ -234,34 +234,13 @@ def metropolis_weights(g: Graph) -> WeightMatrix:
     return WeightMatrix(a=a)
 
 
-def spectral_radius_residual(
-    w: WeightMatrix | np.ndarray,
-    iters: int = 1000,
-    tol: float = 1e-10,
-    seed: int = 0,
-) -> float:
-    """Spectral radius of A - 11^T/n by power iteration.
+def spectral_radius_residual(w: WeightMatrix | np.ndarray) -> float:
+    """Spectral radius of A - 11^T/n, from its eigenvalues.
 
-    Uses a seeded start vector and the norm-growth estimate per step;
-    intended for the symmetric mixing matrices produced here, where
-    power iteration converges to the dominant |eigenvalue|.
+    Exact up to rounding, and correct for non-symmetric matrices too.
     """
     a = w.a if isinstance(w, WeightMatrix) else np.asarray(w, dtype=float)
-    n = a.shape[0]
-    b = a - np.full((n, n), 1.0 / n)
-    v = np.random.default_rng(seed).standard_normal(n)
-    v /= np.linalg.norm(v)
-    estimate = 0.0
-    for _ in range(iters):
-        bv = b @ v
-        norm = float(np.linalg.norm(bv))
-        if norm == 0.0:
-            return 0.0
-        if abs(norm - estimate) < tol:
-            return norm
-        estimate = norm
-        v = bv / norm
-    return estimate
+    return float(np.max(np.abs(np.linalg.eigvals(a - 1.0 / a.shape[0]))))
 
 
 def validate_weight_matrix(
@@ -272,8 +251,7 @@ def validate_weight_matrix(
     """Check graph sparsity, column/row stochasticity and contraction.
 
     Reports pass/fail per condition at absolute tolerance tol instead
-    of raising; the spectral radius comes from power iteration on
-    A - 11^T/n.
+    of raising; the spectral radius is that of A - 11^T/n.
     """
     a = w.a
     if a.shape[0] != g.n:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from fedleak.infotheory import analytic_mi_cfl_sa, analytic_mi_dfl_sa, knn_mi
+from fedleak import leakage
+from fedleak.infotheory import analytic_mi_cfl_sa, analytic_mi_dfl_sa, knn_cmi, knn_mi
 from fedleak.leakage import (
     CellSummary,
     ExperimentConfig,
@@ -16,7 +17,7 @@ from fedleak.leakage import (
     verify_proposition1,
 )
 from fedleak.protocol import ALL_MODES, Mode
-from fedleak.topology import generate_graph, graph_density, metropolis_weights
+from fedleak.topology import Graph, generate_graph, graph_density, metropolis_weights
 
 
 class TestConfigValidation:
@@ -128,13 +129,57 @@ class TestEstimateModeLeakage:
         assert np.abs(values).max() < z * sigma
 
     def test_conditioned_estimates_match_fast_path(self, small_cell):
+        # The fast path drops G_k's known term from the observation; the
+        # reference conditions the full observation on G_k (Frenzel-Pompe).
         n, samples, graph, weights = small_cell
+        data = samples.data
         for mode in (Mode.CFL_SA, Mode.DFL_SA):
             fast = estimate_mode_leakage(mode, samples, graph=graph, weights=weights)
-            cond = estimate_mode_leakage(
-                mode, samples, graph=graph, weights=weights, condition_on_own=True
-            )
-            assert cond.average == pytest.approx(fast.average, abs=0.05)
+            cond = []
+            for k in range(n):
+                if mode is Mode.CFL_SA:
+                    observed = data.sum(axis=1) / n
+                else:
+                    observed = data @ weights.row(k)
+                cond += [
+                    knn_cmi(observed, data[:, i], data[:, k]).value
+                    for i in range(n)
+                    if i != k
+                ]
+            assert np.mean(cond) == pytest.approx(fast.average, abs=0.05)
+
+    @pytest.mark.parametrize("matrix_path", [True, False], ids=["matrix", "trees"])
+    def test_pairs_equal_knn_mi_on_rebuilt_observation(self, monkeypatch, matrix_path):
+        if not matrix_path:
+            monkeypatch.setattr(leakage, "_MATRIX_PATH_MAX_SAMPLES", 0)
+        n = 6
+        samples = draw_gradient_samples(n, 300, seed=11)
+        data = samples.data
+        # nodes 0 and 5 are leaves; nodes 1 to 4 have two or three neighbors
+        graph = Graph(n=n, edges=((0, 1), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5)))
+        weights = metropolis_weights(graph)
+        for mode in ALL_MODES:
+            result = estimate_mode_leakage(mode, samples, graph=graph, weights=weights)
+            assert len(result.pairs) == (n if mode is Mode.CFL else n * (n - 1))
+            for k, i, value in result.pairs:
+                target = data[:, i]
+                if mode is Mode.CFL:
+                    observed = target
+                elif mode is Mode.CFL_SA:
+                    observed = data.sum(axis=1) - data[:, k]
+                elif mode is Mode.DFL_SA:
+                    row = weights.row(k)
+                    observed = data @ row - row[k] * data[:, k]
+                else:
+                    nbrs = graph.neighbors(k)
+                    observed = target if i in nbrs else data[:, nbrs]
+                assert value == knn_mi(observed, target).value, (mode, k, i)
+
+    def test_dfl_corrupt_node_without_neighbors_rejected(self):
+        samples = draw_gradient_samples(4, 200, seed=0)
+        graph = Graph(n=4, edges=((0, 1), (1, 2)))  # node 3 is isolated
+        with pytest.raises(ValueError, match="node 3 has no neighbors"):
+            estimate_mode_leakage(Mode.DFL, samples, graph=graph)
 
     def test_corrupt_subsample_restricts_enumeration(self, small_cell):
         n, samples, graph, weights = small_cell
