@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .attack import (
     AttackResult,
-    LinearSoftmaxModel,
     ToyImage,
     ToyModel,
     attack_experiment,
@@ -38,18 +37,7 @@ from .leakage import (
     run_experiment,
     verify_proposition1,
 )
-from .protocol import (
-    ALL_MODES,
-    GradientVector,
-    Mode,
-    ModelState,
-    Observation,
-    extract_observation,
-    fedsgd_round,
-    gossip_round,
-    run_protocol,
-    stack_gradients,
-)
+from .protocol import ALL_MODES, GradientVector, Mode, extract_observation
 from .topology import (
     Graph,
     WeightMatrix,

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -33,7 +32,6 @@ from .topology import Graph, WeightMatrix, metropolis_weights
 __all__ = [
     "ToyImage",
     "ToyModel",
-    "LinearSoftmaxModel",
     "TargetReconstruction",
     "AttackResult",
     "make_blob_dataset",
@@ -289,38 +287,6 @@ class AttackResult:
     corrupt_node: int
     targets: tuple[TargetReconstruction, ...]
     average_ssim: float
-
-
-@dataclass(frozen=True)
-class LinearSoftmaxModel:
-    """Pluggable model for protocol traces: mean cross-entropy over a
-    node's images, gradients in flattened (dW, db) layout."""
-
-    height: int = DEFAULT_HEIGHT
-    width: int = DEFAULT_WIDTH
-    classes: int = DEFAULT_CLASSES
-
-    @property
-    def dim(self) -> int:
-        return self.classes * self.height * self.width + self.classes
-
-    def unflatten(self, weights: np.ndarray) -> ToyModel:
-        n_pix = self.height * self.width
-        cut = self.classes * n_pix
-        return ToyModel(w=weights[:cut].reshape(self.classes, n_pix), b=weights[cut:])
-
-    def gradient(self, weights: np.ndarray, images: Sequence[ToyImage]) -> np.ndarray:
-        model = self.unflatten(np.asarray(weights, dtype=float))
-        grads = [toy_gradient(model, img).values for img in images]
-        return np.mean(grads, axis=0)
-
-    def loss(self, weights: np.ndarray, images: Sequence[ToyImage]) -> float:
-        model = self.unflatten(np.asarray(weights, dtype=float))
-        total = 0.0
-        for img in images:
-            p = _softmax(model.w @ img.flat + model.b)
-            total -= math.log(max(p[img.label], 1e-300))
-        return total / len(images)
 
 
 def _observed_for_target(

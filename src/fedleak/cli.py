@@ -2,10 +2,9 @@
 
 Subcommands: simulate (leakage sweep), attack (gradient inversion),
 verify (ordering-chain check on a summary CSV), analytic (closed forms
-only). Option precedence is flag > FEDLEAK_* environment variable >
-key=value config file > built-in default; every run writes a manifest
-that can be passed back via --config to reproduce outputs byte for
-byte.
+only). Option precedence is flag > key=value config file > built-in
+default; every run writes a manifest that can be passed back via
+--config to reproduce outputs byte for byte.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error,
 3 runtime error.
@@ -15,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -44,9 +42,13 @@ from .reporting import (
     write_manifest,
     write_pgm,
 )
-from .topology import generate_graph, metropolis_weights, read_edge_list, write_edge_list
-
-ENV_PREFIX = "FEDLEAK_"
+from .topology import (
+    generate_graph,
+    metropolis_weights,
+    min_connected_density,
+    read_edge_list,
+    write_edge_list,
+)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -80,7 +82,7 @@ def _parse_bool(text: str) -> bool:
 
 
 class _Options:
-    """Layered option lookup: CLI flag, then env, then config file."""
+    """Layered option lookup: CLI flag, then config file, then default."""
 
     def __init__(self, args: argparse.Namespace):
         self.args = vars(args)
@@ -89,13 +91,10 @@ class _Options:
 
     def get(self, key: str, default, cast):
         flag = self.args.get(key)
-        env_name = ENV_PREFIX + key.upper()
         if flag is not None and not isinstance(flag, str):
             return flag  # store_const flags arrive typed
         if flag is not None:
             source, text = "--" + key.replace("_", "-"), flag
-        elif env_name in os.environ:
-            source, text = env_name, os.environ[env_name]
         elif key in self.config:
             source, text = f"config key {key}", self.config[key]
         else:
@@ -104,6 +103,17 @@ class _Options:
             return cast(text)
         except ValueError as exc:
             raise UsageError(f"{source}: invalid value {text!r} ({exc})") from exc
+
+
+def _check_densities(n_values, densities) -> None:
+    """Usage error for a density that gives some n no connected graph."""
+    for n in n_values:
+        for density in densities:
+            if not min_connected_density(n) <= density <= 1.0:
+                raise UsageError(
+                    f"--densities: {density:g} gives no connected graph on {n} "
+                    f"nodes (needs {min_connected_density(n):.6g} to 1)"
+                )
 
 
 def _density_token(density: float) -> str:
@@ -321,6 +331,14 @@ def cmd_attack(args: argparse.Namespace) -> int:
         )
     if not densities:
         densities = (math.nan,)  # centralized only; density is a label
+    if n_seeds < 1:
+        raise UsageError(f"--seeds must be >= 1, got {n_seeds}")
+    if n < 3:
+        raise UsageError(f"--n: the attack needs at least 3 nodes, got {n}")
+    if not 0 <= corrupt < n:
+        raise UsageError(f"--corrupt: node {corrupt} out of range for n={n}")
+    if needs_topology and fixed_graph is None:
+        _check_densities((n,), densities)
 
     manifest = _manifest_base("attack", out_dir)
     manifest.update(
@@ -460,7 +478,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             else:
                 status = "FAIL"
                 failures.append((cell, rel))
-            print(f"  {rel.name:<18} gap={rel.gap:+.4f}  {status}")
+            exact = (
+                "" if math.isnan(rel.analytic_gap)
+                else f" closed-form gap={rel.analytic_gap:+.4f}"
+            )
+            print(f"  {rel.name:<18} gap={rel.gap:+.4f}{exact}  {status}")
     if failures:
         names = ", ".join(
             f"{rel.name} at (n={cell.n}, density={cell.density:g})"
@@ -478,6 +500,10 @@ def cmd_analytic(args: argparse.Namespace) -> int:
     n_values = opts.get("n", (10, 20, 30, 40, 50), _parse_int_list)
     densities = opts.get("densities", (), _parse_float_list)
     out_dir = opts.get("out_dir", None, str)
+    small = [v for v in n_values if v < 3]
+    if small:
+        raise UsageError(f"--n: closed forms need n >= 3, got {small[0]}")
+    _check_densities(n_values, densities)
 
     rows = []
     for n in n_values:

@@ -1,20 +1,24 @@
 """Monte-Carlo measurement of per-mode privacy leakage.
 
-Per-node gradients are modeled as i.i.d. standard normal scalars. For
-every corrupt node k and honest target i the estimator evaluates how
-much the mode's observation reveals about G_i:
+Per-node gradients are modeled as i.i.d. standard normal scalars, one
+sample column per node. For every corrupt node k and honest target i
+the estimator evaluates how much the mode's observation reveals about
+G_i given what k knows, its own G_k:
 
     CFL      I(G_i; G_i)                    (every gradient is visible)
     CFL_SA   I((1/n) sum_j G_j; G_i | G_k)
     DFL      I({neighbor gradients}; G_i | G_k)
     DFL_SA   I(sum_j a[k,j] G_j; G_i | G_k)
 
-and averages over all (k, i) pairs. Because G_k is independent of the
-rest, conditioning on it equals dropping the known term from the
-observation, so the unconditional KSG estimator runs on the reduced
-observation (the identity under which Kraskov-Stoegbauer-Grassberger
-and Frenzel-Pompe agree). The test suite checks the averages against
-knn_cmi on the full observation.
+and averages over all (k, i) pairs. The observation is the one that
+protocol.extract_observation returns for the sample columns: the
+view with k's own term dropped, plus the nodes it shows directly.
+Because G_k is independent of the rest, conditioning on it equals
+dropping it, so the unconditional KSG estimator runs on that view (the
+identity under which Kraskov-Stoegbauer-Grassberger and Frenzel-Pompe
+agree). A target the view shows directly scores the self term; every
+other target gets one KSG estimate against the view. The test suite
+checks the averages against knn_cmi on the full observation.
 
 Self-information I(G_i; G_i) diverges for continuous variables: the
 estimator reports its finite value at the given sample count, never a
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Container, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -41,7 +45,7 @@ from .infotheory import (
     analytic_mi_dfl_sa,
     knn_mi,
 )
-from .protocol import ALL_MODES, Mode
+from .protocol import ALL_MODES, Mode, extract_observation
 from .topology import (
     Graph,
     WeightMatrix,
@@ -95,6 +99,11 @@ class ExperimentConfig:
             raise ValueError(f"samples must be >= 100, got {self.samples}")
         if self.k_nn < 1:
             raise ValueError(f"k_nn must be >= 1, got {self.k_nn}")
+        if self.k_nn >= self.samples:
+            raise ValueError(
+                f"k_nn must be < samples, got k_nn={self.k_nn} and "
+                f"samples={self.samples}"
+            )
         if not self.n_values:
             raise ValueError("n_values is empty")
         if not self.modes:
@@ -262,34 +271,6 @@ class _CellEstimator:
         )
 
 
-def _reduced_observation(
-    mode: Mode,
-    data: np.ndarray,
-    k: int,
-    graph: Graph | None,
-    weights: WeightMatrix | None,
-) -> tuple[np.ndarray, Container[int]]:
-    """What corrupt node k observes once its own term is dropped, and
-    the targets whose gradient that observation shows directly.
-
-    CFL has no corrupt node (k is -1) and shows every gradient. The
-    reduced sums are taken from the samples directly, not as n times the
-    average minus the own term, whose rounding differs in the last bits.
-    """
-    n = data.shape[1]
-    if mode is Mode.CFL:
-        return data, range(n)
-    if mode is Mode.CFL_SA:
-        return data.sum(axis=1) - data[:, k], ()
-    if mode is Mode.DFL_SA:
-        row = weights.row(k)
-        return data @ row - row[k] * data[:, k], ()
-    nbrs = graph.neighbors(k)
-    if len(nbrs) == 0:
-        raise ValueError(f"dfl: corrupt node {k} has no neighbors, so it observes nothing")
-    return data[:, nbrs], frozenset(nbrs.tolist())
-
-
 def estimate_mode_leakage(
     mode: Mode,
     samples: SampleMatrix,
@@ -300,21 +281,15 @@ def estimate_mode_leakage(
 ) -> ModeLeakage:
     """Estimate one mode's leakage table over (corrupt, target) pairs.
 
-    Targets whose own gradient is part of the observation contribute the
-    self term I(G_i; G_i); every other target gets one KSG estimate
-    against the reduced observation. corrupt_nodes restricts the
+    Each corrupt node's observation is protocol.extract_observation's
+    view of the sample columns. Targets that view shows directly
+    contribute the self term I(G_i; G_i); every other target gets one
+    KSG estimate against the view. corrupt_nodes restricts the
     enumeration of k (an unbiased subsample of the same average); None
     enumerates all nodes. CFL involves no corrupt node and ignores it.
     """
     data = samples.data
     n = samples.n_variables
-    if mode.decentralized and graph is None:
-        raise ValueError(f"mode {mode.value} requires a graph")
-    if mode is Mode.DFL_SA and weights is None:
-        raise ValueError("mode dfl_sa requires a weight matrix")
-    if graph is not None and graph.n != n:
-        raise ValueError(f"graph has n={graph.n} but samples have {n} columns")
-
     if mode is Mode.CFL:
         corrupt_iter: Sequence[int] = (-1,)
     elif corrupt_nodes is None:
@@ -324,7 +299,7 @@ def estimate_mode_leakage(
     est = _CellEstimator(data, k_nn)
     pairs: list[tuple[int, int, float]] = []
     for k in corrupt_iter:
-        observed, visible = _reduced_observation(mode, data, k, graph, weights)
+        observed, visible = extract_observation(mode, k, data, graph, weights)
         est.observe(observed)
         for i in range(n):
             if i != k:
@@ -464,10 +439,11 @@ class RelationVerdict:
     """One inequality of the ordering chain on one cell."""
 
     name: str
-    gap: float
+    gap: float  # estimated
+    analytic_gap: float  # from the closed forms; NaN unless both sides have one
     checked: bool
-    direction_ok: bool  # lhs >= rhs within the tolerance cushion
-    margin_ok: bool  # strict gap > tol (density < 1) or |gap| <= tol (density 1)
+    direction_ok: bool  # estimated gap >= -tol
+    margin_ok: bool  # see verify_proposition1
 
     @property
     def ok(self) -> bool:
@@ -501,20 +477,24 @@ def verify_proposition1(report: LeakageReport, tol: float) -> Proposition1Verdic
 
     The outer relations hold with equality exactly on the complete
     graph, so for density < 1 their gaps must exceed tol and at density
-    1 they must vanish within tol. The middle relation is strict for
-    any connected graph on more than two nodes and is skipped at n = 2.
-    All three also get a direction check with a tol cushion for
-    estimator noise. Returns a verdict object; never raises.
+    1 they must vanish within tol. Where both sides have a closed form
+    (dfl_sa vs cfl_sa) the closed-form gap decides that margin instead,
+    and need only exceed 0: at high density the true gap is far below
+    any tol that covers estimator noise. The middle relation is strict
+    for any connected graph on more than two nodes and is skipped at
+    n = 2. All three also get a direction check on the estimated gap
+    with a tol cushion for estimator noise. Returns a verdict object;
+    never raises.
     """
     cells = []
     for n, density in report.cells():
-        values = {}
+        rows = {}
         for mode in ALL_MODES:
             try:
-                values[mode] = report.cell(mode, n, density).leakage_nats
+                rows[mode] = report.cell(mode, n, density)
             except KeyError:
                 pass
-        missing = [m for m in ALL_MODES if m not in values]
+        missing = [m for m in ALL_MODES if m not in rows]
         if missing:
             raise ValueError(
                 f"cell (n={n}, density={density}) lacks modes "
@@ -527,17 +507,21 @@ def verify_proposition1(report: LeakageReport, tol: float) -> Proposition1Verdic
             ("dfl_vs_dfl_sa", Mode.DFL, Mode.DFL_SA, False),
             ("dfl_sa_vs_cfl_sa", Mode.DFL_SA, Mode.CFL_SA, True),
         ):
-            gap = values[lhs] - values[rhs]
+            gap = rows[lhs].leakage_nats - rows[rhs].leakage_nats
+            exact = rows[lhs].analytic_nats - rows[rhs].analytic_nats
             checked = outer or n > 2
             direction_ok = gap >= -tol
-            if outer:
-                margin_ok = abs(gap) <= tol if complete else gap > tol
+            if outer and not math.isnan(exact):
+                margin_ok = abs(exact) <= tol if complete else exact > 0
+            elif outer and complete:
+                margin_ok = abs(gap) <= tol
             else:
                 margin_ok = gap > tol
             relations.append(
                 RelationVerdict(
                     name=name,
                     gap=gap,
+                    analytic_gap=exact,
                     checked=checked,
                     direction_ok=direction_ok,
                     margin_ok=margin_ok,
@@ -547,7 +531,7 @@ def verify_proposition1(report: LeakageReport, tol: float) -> Proposition1Verdic
             CellVerdict(
                 n=n,
                 density=density,
-                leakage={m.value: v for m, v in values.items()},
+                leakage={m.value: r.leakage_nats for m, r in rows.items()},
                 relations=tuple(relations),
             )
         )

@@ -1,31 +1,28 @@
-"""Round execution and adversary observation extraction.
+"""Deployment modes and the adversary's view of one round.
 
 One learning round exchanges per-node gradients. In the centralized
-setting a server averages them and updates a single global model:
+setting a server averages them; in the decentralized setting each node
+mixes its neighbors' gradients with one row of the mixing matrix.
 
-    w <- w - (eta / n) * sum_i g_i.
-
-In the decentralized setting the averaging step is replaced by one
-gossip multiplication with the mixing matrix, g <- A g, and every node
-applies its own (approximate) average.
-
-A passive adversary sitting at node k sees, depending on the mode:
+A passive adversary sitting at node k receives, depending on the mode:
 
     CFL      every node's gradient,
-    CFL_SA   only the global average,
+    CFL_SA   only the global average (1/n) sum_j g_j,
     DFL      its neighbors' gradients,
     DFL_SA   only its weighted gossip aggregate sum_j a[k,j] g_j.
 
 Secure aggregation is modeled at the observation level (what reaches
 the adversary), not cryptographically. The adversary always knows its
-own gradient; observations materialize it explicitly.
+own gradient g_k, so extract_observation returns the view with that
+known term dropped; it is the one definition of what the adversary
+sees, and leakage estimates run on exactly what it returns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Container
 
 import numpy as np
 
@@ -35,15 +32,7 @@ __all__ = [
     "Mode",
     "ALL_MODES",
     "GradientVector",
-    "ModelState",
-    "Observation",
-    "ObservedVector",
-    "ProtocolTrace",
-    "fedsgd_round",
-    "gossip_round",
-    "stack_gradients",
     "extract_observation",
-    "run_protocol",
 ]
 
 
@@ -77,10 +66,9 @@ ALL_MODES = (Mode.CFL, Mode.CFL_SA, Mode.DFL, Mode.DFL_SA)
 
 @dataclass(frozen=True)
 class GradientVector:
-    """A node's local gradient; owner -1 means unassigned."""
+    """A node's local gradient."""
 
     values: np.ndarray
-    owner: int = -1
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -90,244 +78,53 @@ class GradientVector:
             raise ValueError("gradient has non-finite entries")
         object.__setattr__(self, "values", v)
 
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True)
-class ModelState:
-    """Model weights at a given iteration."""
-
-    weights: np.ndarray
-    iteration: int = 0
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights have non-finite entries")
-        object.__setattr__(self, "weights", w)
-
-
-@dataclass(frozen=True)
-class ObservedVector:
-    label: str
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
-class Observation:
-    """Everything the adversary at corrupt_node sees in one round."""
-
-    mode: Mode
-    corrupt_node: int
-    items: tuple[ObservedVector, ...]
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(item.label for item in self.items)
-
-    def get(self, label: str) -> np.ndarray:
-        for item in self.items:
-            if item.label == label:
-                return item.values
-        raise KeyError(label)
-
-
-@dataclass
-class ProtocolTrace:
-    """Per-round states of every node plus the adversary's observations."""
-
-    mode: Mode
-    states: list[tuple[ModelState, ...]] = field(default_factory=list)
-    observations: list[Observation] = field(default_factory=list)
-
-    def final_weights(self) -> np.ndarray:
-        """(n, d) weights after the last round."""
-        return np.stack([s.weights for s in self.states[-1]])
-
-
-def fedsgd_round(
-    states: Sequence[ModelState],
-    grads: Sequence[GradientVector],
-    eta: float,
-) -> ModelState:
-    """Server-side update: w <- w - (eta/n) * sum of local gradients.
-
-    All nodes must enter the round with identical weights (there is a
-    single global model); the iteration counter advances by one.
-    """
-    if eta <= 0:
-        raise ValueError(f"stepsize eta must be positive, got {eta}")
-    if len(states) != len(grads) or not states:
-        raise ValueError("need one state and one gradient per node")
-    w0 = states[0].weights
-    for s in states[1:]:
-        if s.weights.shape != w0.shape or not np.array_equal(s.weights, w0):
-            raise ValueError("nodes disagree on weights at round start")
-    g = stack_gradients(grads)
-    if g.shape[1] != w0.shape[0]:
-        raise ValueError(
-            f"gradient dim {g.shape[1]} does not match weights dim {w0.shape[0]}"
-        )
-    new_w = w0 - (eta / len(grads)) * g.sum(axis=0)
-    return ModelState(weights=new_w, iteration=states[0].iteration + 1)
-
-
-def stack_gradients(grads: Sequence[GradientVector] | np.ndarray) -> np.ndarray:
-    """(n, d) matrix of per-node gradients, row order = node order."""
-    if isinstance(grads, np.ndarray):
-        stack = np.asarray(grads, dtype=float)
-        if stack.ndim == 1:
-            stack = stack[:, None]
-        return stack
-    dims = {g.dim for g in grads}
-    if len(dims) != 1:
-        raise ValueError(f"gradient dimensions differ: {sorted(dims)}")
-    return np.stack([g.values for g in grads])
-
-
-def gossip_round(stack: np.ndarray, w: WeightMatrix) -> np.ndarray:
-    """One peer-to-peer averaging step: row k becomes sum_j a[k,j] * row j.
-
-    Column stochasticity preserves the per-dimension global sum exactly;
-    iterating drives every row to the average.
-    """
-    g = np.asarray(stack, dtype=float)
-    squeeze = g.ndim == 1
-    if squeeze:
-        g = g[:, None]
-    if g.shape[0] != w.n:
-        raise ValueError(f"stack has {g.shape[0]} rows for an n={w.n} matrix")
-    out = w.a @ g
-    return out[:, 0] if squeeze else out
-
 
 def extract_observation(
     mode: Mode,
     corrupt_node: int,
-    grads: Sequence[GradientVector] | np.ndarray,
+    g: np.ndarray,
     graph: Graph | None = None,
     weights: WeightMatrix | None = None,
-) -> Observation:
-    """Assemble exactly what the adversary at corrupt_node receives.
+) -> tuple[np.ndarray, Container[int]]:
+    """What the adversary at corrupt_node k observes once its own term is
+    dropped, and the nodes whose raw gradient that observation shows.
 
-    CFL:     one labeled item per node gradient.
-    CFL_SA:  the global average (1/n) sum_j g_j, plus the adversary's own
-             gradient.
-    DFL:     one item per neighbor gradient, plus its own gradient.
-    DFL_SA:  the weighted aggregate sum_j a[k,j] g_j, plus its own
-             gradient.
+    g[:, j] is node j's gradient (rows may be dimensions or Monte-Carlo
+    samples). Per mode:
 
-    Deterministic in its inputs; a DFL-mode observation never contains a
-    non-neighbor's gradient.
+        CFL      (g, every node); CFL has no corrupt node, so k may be -1
+        CFL_SA   g.sum(axis=1) - g[:, k]             (shows no node)
+        DFL      g[:, neighbors of k]                (shows the neighbors)
+        DFL_SA   g @ a[k] - a[k,k] * g[:, k]         (shows no node)
+
+    Dropping g_k loses nothing, since k knows it. CFL_SA keeps the sum,
+    n times the average it receives: the same information, and taken
+    from g directly rather than as n * average - g_k, whose rounding
+    differs in the last bits. A DFL observation never contains a
+    non-neighbor's gradient. Deterministic in its inputs.
     """
-    g = stack_gradients(grads)
-    n = g.shape[0]
-    if not (0 <= corrupt_node < n):
-        raise ValueError(f"corrupt node {corrupt_node} out of range for n={n}")
-    if mode.decentralized:
-        if graph is None:
-            raise ValueError(f"mode {mode.value} requires a graph")
-        if graph.n != n:
-            raise ValueError(f"graph has n={graph.n} but {n} gradients given")
-    if mode is Mode.DFL_SA and weights is None:
-        raise ValueError("mode dfl_sa requires a weight matrix")
-
-    own = ObservedVector(f"own_gradient:{corrupt_node}", g[corrupt_node].copy())
-    if mode is Mode.CFL:
-        items = tuple(
-            ObservedVector(f"gradient:{j}", g[j].copy()) for j in range(n)
+    n = g.shape[1]
+    lowest = -1 if mode is Mode.CFL else 0
+    if not lowest <= corrupt_node < n:
+        raise ValueError(
+            f"{mode.value}: corrupt node {corrupt_node} out of range for n={n}"
         )
-    elif mode is Mode.CFL_SA:
-        items = (ObservedVector("average", g.mean(axis=0)), own)
-    elif mode is Mode.DFL:
-        items = tuple(
-            ObservedVector(f"gradient:{j}", g[j].copy())
-            for j in graph.neighbors(corrupt_node)
-        ) + (own,)
-    else:  # DFL_SA
-        aggregate = weights.row(corrupt_node) @ g
-        items = (ObservedVector("weighted_aggregate", aggregate), own)
-    return Observation(mode=mode, corrupt_node=corrupt_node, items=items)
-
-
-def _gossip_average(
-    stack: np.ndarray,
-    w: WeightMatrix,
-    to_convergence: bool,
-    tol: float = 1e-12,
-    max_iters: int = 10_000,
-) -> np.ndarray:
-    if not to_convergence:
-        return gossip_round(stack, w)
-    g = np.asarray(stack, dtype=float)
-    for _ in range(max_iters):
-        nxt = gossip_round(g, w)
-        if np.max(np.abs(nxt - g)) < tol:
-            return nxt
-        g = nxt
-    return g
-
-
-def run_protocol(
-    mode: Mode,
-    model,
-    datasets: Sequence,
-    rounds: int,
-    eta: float,
-    corrupt_node: int = 0,
-    graph: Graph | None = None,
-    weights: WeightMatrix | None = None,
-    initial_weights: np.ndarray | None = None,
-    gossip_to_convergence: bool = False,
-) -> ProtocolTrace:
-    """Run T rounds and log the adversary's view each round.
-
-    model must expose dim and gradient(weights, dataset) -> 1-d array;
-    datasets holds one per node. Centralized modes keep a single global
-    model; decentralized modes hold per-node models and aggregate with
-    one gossip multiplication per round (or iterate gossip to
-    convergence when gossip_to_convergence is set, in which case the
-    trajectory matches the centralized one and all nodes agree).
-    """
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
-    n = len(datasets)
-    if n < 1:
-        raise ValueError("need at least one node dataset")
     if mode.decentralized and graph is None:
         raise ValueError(f"mode {mode.value} requires a graph")
-    if mode.decentralized and weights is None:
-        raise ValueError(f"mode {mode.value} requires a weight matrix")
+    if mode is Mode.DFL_SA and weights is None:
+        raise ValueError("mode dfl_sa requires a weight matrix")
+    if graph is not None and graph.n != n:
+        raise ValueError(f"graph has n={graph.n} but g has {n} columns")
 
-    w0 = (
-        np.zeros(model.dim)
-        if initial_weights is None
-        else np.asarray(initial_weights, dtype=float)
-    )
-    node_weights = np.tile(w0, (n, 1))
-    iteration = 0
-    trace = ProtocolTrace(mode=mode)
-
-    for _ in range(rounds):
-        grads = [
-            GradientVector(model.gradient(node_weights[j], datasets[j]), owner=j)
-            for j in range(n)
-        ]
-        trace.observations.append(
-            extract_observation(mode, corrupt_node, grads, graph, weights)
-        )
-        stack = stack_gradients(grads)
-        if mode.decentralized and n > 1:
-            averaged = _gossip_average(stack, weights, gossip_to_convergence)
-        else:
-            averaged = np.tile(stack.mean(axis=0), (n, 1))
-        node_weights = node_weights - eta * averaged
-        iteration += 1
-        trace.states.append(
-            tuple(
-                ModelState(weights=node_weights[j].copy(), iteration=iteration)
-                for j in range(n)
-            )
-        )
-    return trace
+    k = corrupt_node
+    if mode is Mode.CFL:
+        return g, range(n)
+    if mode is Mode.CFL_SA:
+        return g.sum(axis=1) - g[:, k], ()
+    if mode is Mode.DFL_SA:
+        row = weights.row(k)
+        return g @ row - row[k] * g[:, k], ()
+    nbrs = graph.neighbors(k)
+    if len(nbrs) == 0:
+        raise ValueError(f"dfl: corrupt node {k} has no neighbors, so it observes nothing")
+    return g[:, nbrs], frozenset(nbrs.tolist())

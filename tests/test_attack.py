@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from fedleak.attack import (
-    LinearSoftmaxModel,
     ToyImage,
     ToyModel,
     attack_experiment,
@@ -177,31 +176,6 @@ class TestSsim:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shapes"):
             ssim(np.zeros((2, 2)), np.zeros((3, 3)))
-
-
-class TestLinearSoftmaxModel:
-    def test_gradient_averages_over_images(self):
-        spec = LinearSoftmaxModel()
-        images = make_blob_dataset(3, seed=0)
-        weights = 0.01 * np.random.default_rng(0).standard_normal(spec.dim)
-        stacked = np.mean(
-            [
-                toy_gradient(spec.unflatten(weights), img).values
-                for img in images
-            ],
-            axis=0,
-        )
-        assert np.allclose(spec.gradient(weights, images), stacked, atol=1e-15)
-
-    def test_loss_decreases_under_descent(self):
-        spec = LinearSoftmaxModel()
-        images = make_blob_dataset(8, seed=1)
-        w = np.zeros(spec.dim)
-        losses = [spec.loss(w, images)]
-        for _ in range(10):
-            w = w - 0.5 * spec.gradient(w, images)
-            losses.append(spec.loss(w, images))
-        assert losses[-1] < losses[0]
 
 
 def quick_attack(mode, density, seed=0, n=10, iters=120):

@@ -1,10 +1,22 @@
-from fedleak.cli import EXIT_OK, EXIT_USAGE, main
+import pytest
+
+from fedleak.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, main
+from fedleak.reporting import read_csv, write_csv
 
 SMALL_SWEEP = ["--n", "4", "--densities", "1.0", "--samples", "100"]
 
 
 def simulate(tmp_path, *args):
     return main(["simulate", "--out-dir", str(tmp_path / "out"), *args])
+
+
+def output_files(out_dir):
+    """Every file a run wrote except its manifest, relative to out_dir."""
+    return sorted(
+        p.relative_to(out_dir)
+        for p in out_dir.rglob("*")
+        if p.is_file() and p.name != "manifest.txt"
+    )
 
 
 class TestUsageErrors:
@@ -20,6 +32,42 @@ class TestUsageErrors:
         assert simulate(tmp_path, "--n", "abc") == EXIT_USAGE
         assert "--n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["analytic", "--n", "5", "--densities", "0.3"], "--densities: 0.3"),
+            (["attack", "--n", "5", "--densities", "0.3"], "--densities: 0.3"),
+            (["attack", "--n", "2"], "--n: the attack needs at least 3 nodes"),
+            (["attack", "--n", "6", "--corrupt", "9"], "--corrupt: node 9 out of range"),
+            (["attack", "--seeds", "0", "--iters", "20"], "--seeds must be >= 1"),
+            (
+                ["simulate", "--n", "4", "--samples", "100", "--knn-k", "200"],
+                "k_nn must be < samples",
+            ),
+        ],
+        ids=[
+            "analytic-density",
+            "attack-density",
+            "attack-n",
+            "attack-corrupt",
+            "attack-seeds",
+            "simulate-knn-k",
+        ],
+    )
+    def test_bad_option_exits_before_any_work(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        assert main([*argv, "--out-dir", str(out)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_environment_does_not_set_options(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FEDLEAK_SAMPLES", "10")
+        args = ["--n", "4", "--densities", "1.0", "--modes", "cfl_sa"]
+        assert simulate(tmp_path, *args) == EXIT_OK
+        assert "samples=1000" in (tmp_path / "out" / "manifest.txt").read_text()
+
 
 class TestSimulateOutputs:
     def test_without_cfl_writes_no_relative_chart(self, tmp_path):
@@ -29,3 +77,60 @@ class TestSimulateOutputs:
         assert (out / "leakage_summary.csv").is_file()
         assert not (out / "leakage_relative.svg").exists()
         assert "output_svg" not in (out / "manifest.txt").read_text()
+
+
+class TestManifestRoundTrip:
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ["simulate", "--seed", "5", "--n", "4,5", "--densities", "0.7,1.0",
+                 "--samples", "150", "--knn-k", "4"],
+                ["leakage_relative.svg", "graphs/graph_n5_d0p7.txt"],
+            ),
+            (
+                ["attack", "--seed", "2", "--n", "5", "--densities", "0.7,1.0",
+                 "--iters", "20", "--seeds", "2", "--lr", "0.05", "--corrupt", "1"],
+                ["attack_ssim.svg", "recon/dfl_d0p7_node00.pgm"],
+            ),
+        ],
+        ids=["simulate", "attack"],
+    )
+    def test_manifest_reproduces_outputs(self, tmp_path, argv, expected):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main([*argv, "--out-dir", str(first)]) == EXIT_OK
+        rerun = [argv[0], "--config", str(first / "manifest.txt"), "--out-dir", str(second)]
+        assert main(rerun) == EXIT_OK
+        files = output_files(first)
+        assert {str(f) for f in files} >= set(expected)
+        assert output_files(second) == files
+        for name in files:
+            assert (second / name).read_bytes() == (first / name).read_bytes(), name
+
+
+class TestVerify:
+    @pytest.fixture(scope="class")
+    def summary(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("sweep")
+        argv = ["simulate", "--seed", "7", "--n", "8", "--densities", "0.3,0.9",
+                "--samples", "500", "--out-dir", str(out)]
+        assert main(argv) == EXIT_OK
+        return out / "leakage_summary.csv"
+
+    def test_correct_sweep_passes(self, summary, capsys):
+        # The estimated dfl_sa - cfl_sa gap at density 0.9 is below tol;
+        # its closed form is positive, so the chain holds.
+        assert main(["verify", str(summary)]) == EXIT_OK
+        assert "CHAIN HOLDS" in capsys.readouterr().out
+
+    def test_swapped_sa_estimates_fail(self, summary, tmp_path, capsys):
+        header, rows, _ = read_csv(summary)
+        at = {r["mode"]: r for r in rows if r["density"] == "0.3"}
+        at["dfl_sa"]["leakage_nats"], at["cfl_sa"]["leakage_nats"] = (
+            at["cfl_sa"]["leakage_nats"],
+            at["dfl_sa"]["leakage_nats"],
+        )
+        swapped = tmp_path / "swapped.csv"
+        write_csv(swapped, header, [[r[h] for h in header] for r in rows])
+        assert main(["verify", str(swapped)]) == EXIT_VERIFY_FAILED
+        assert "dfl_sa_vs_cfl_sa at (n=8, density=0.3)" in capsys.readouterr().out

@@ -189,6 +189,13 @@ class TestEstimateModeLeakage:
         assert {p[0] for p in result.pairs} == {1, 4}
         assert len(result.pairs) == 2 * (n - 1)
 
+    @pytest.mark.parametrize("corrupt", [-1, 8])
+    def test_out_of_range_corrupt_node_rejected(self, small_cell, corrupt):
+        # -1 would otherwise index node n-1 and score it as its own target.
+        _, samples, _, _ = small_cell
+        with pytest.raises(ValueError, match=f"corrupt node {corrupt} out of range for n=8"):
+            estimate_mode_leakage(Mode.CFL_SA, samples, corrupt_nodes=[corrupt])
+
     def test_missing_topology_rejected(self, small_cell):
         _, samples, graph, _ = small_cell
         with pytest.raises(ValueError, match="requires a graph"):

@@ -1,27 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from fedleak.attack import LinearSoftmaxModel, make_blob_dataset
-from fedleak.protocol import (
-    GradientVector,
-    Mode,
-    ModelState,
-    extract_observation,
-    fedsgd_round,
-    gossip_round,
-    run_protocol,
-    stack_gradients,
-)
+from fedleak.protocol import ALL_MODES, Mode, extract_observation
 from fedleak.topology import Graph, generate_graph, metropolis_weights
 
 
-def states_for(n, weights):
-    return [ModelState(weights=np.asarray(weights, float)) for _ in range(n)]
-
-
-def grads_for(rows):
-    return [GradientVector(values=np.asarray(r, float), owner=i) for i, r in enumerate(rows)]
+def columns(rows):
+    """g with node j's gradient rows[j] as column j."""
+    return np.column_stack([np.asarray(r, float) for r in rows])
 
 
 class TestMode:
@@ -35,238 +21,93 @@ class TestMode:
         assert Mode.CFL_SA.secure_aggregation and not Mode.CFL_SA.decentralized
 
 
-class TestFedsgdRound:
-    def test_zero_gradients_leave_weights(self):
-        out = fedsgd_round(states_for(3, [1.0, -2.0]), grads_for([[0, 0]] * 3), eta=0.7)
-        assert np.array_equal(out.weights, [1.0, -2.0])
-        assert out.iteration == 1
-
-    def test_two_node_arithmetic(self):
-        out = fedsgd_round(
-            states_for(2, [5.0]), grads_for([[2.0], [0.0]]), eta=1.0
-        )
-        assert out.weights[0] == pytest.approx(4.0, abs=1e-15)
-
-    def test_matches_scalar_loop_oracle(self):
-        rng = np.random.default_rng(0)
-        n, d, eta = 7, 5, 0.3
-        w0 = rng.standard_normal(d)
-        g = rng.standard_normal((n, d))
-        out = fedsgd_round(states_for(n, w0), grads_for(g), eta=eta)
-        expected = w0.copy()
-        for dim in range(d):
-            total = 0.0
-            for node in range(n):
-                total += g[node, dim]
-            expected[dim] = w0[dim] - eta * total / n
-        assert np.abs(out.weights - expected).max() < 1e-12
-
-    @given(
-        alpha=st.floats(min_value=-3, max_value=3, allow_nan=False),
-        seed=st.integers(min_value=0, max_value=1000),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_linearity_in_gradients(self, alpha, seed):
-        rng = np.random.default_rng(seed)
-        w0 = rng.standard_normal(4)
-        g = rng.standard_normal((3, 4))
-        base = fedsgd_round(states_for(3, w0), grads_for(g), eta=1.0)
-        scaled = fedsgd_round(states_for(3, w0), grads_for(alpha * g), eta=1.0)
-        assert np.allclose(scaled.weights - w0, alpha * (base.weights - w0), atol=1e-10)
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="does not match"):
-            fedsgd_round(states_for(2, [0.0, 0.0]), grads_for([[1.0], [1.0]]), eta=1.0)
-
-    def test_nonpositive_eta_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            fedsgd_round(states_for(2, [0.0]), grads_for([[1.0], [1.0]]), eta=0.0)
-
-    def test_disagreeing_states_rejected(self):
-        states = [ModelState(weights=np.array([0.0])), ModelState(weights=np.array([1.0]))]
-        with pytest.raises(ValueError, match="disagree"):
-            fedsgd_round(states, grads_for([[1.0], [1.0]]), eta=1.0)
-
-
-class TestGossipRound:
-    def test_consensus_is_fixed_point(self):
-        g = generate_graph(7, 0.5, seed=1)
-        w = metropolis_weights(g)
-        stack = np.tile([2.5, -1.0], (7, 1))
-        assert np.allclose(gossip_round(stack, w), stack, atol=1e-15)
-
-    def test_complete_three_nodes_one_round_average(self):
-        w = metropolis_weights(generate_graph(3, 1.0, seed=0))
-        out = gossip_round(np.array([3.0, 0.0, 0.0]), w)
-        assert np.allclose(out, [1.0, 1.0, 1.0], atol=1e-12)
-
-    @given(seed=st.integers(min_value=0, max_value=500))
-    @settings(max_examples=20, deadline=None)
-    def test_mean_preserved(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(3, 12))
-        g = generate_graph(n, 0.7, seed=seed)
-        w = metropolis_weights(g)
-        stack = rng.standard_normal((n, 4))
-        out = gossip_round(stack, w)
-        assert np.abs(out.mean(axis=0) - stack.mean(axis=0)).max() < 1e-12
-
-    def test_shape_mismatch_rejected(self):
-        w = metropolis_weights(generate_graph(3, 1.0, seed=0))
-        with pytest.raises(ValueError, match="rows"):
-            gossip_round(np.zeros((4, 2)), w)
-
-
 class TestExtractObservation:
     def test_cfl_exposes_every_gradient(self):
-        grads = grads_for(np.arange(10.0).reshape(5, 2))
-        obs = extract_observation(Mode.CFL, 2, grads)
-        assert len(obs.items) == 5
-        assert obs.labels() == tuple(f"gradient:{j}" for j in range(5))
-        assert np.array_equal(obs.get("gradient:3"), [6.0, 7.0])
+        g = columns(np.arange(10.0).reshape(5, 2))
+        for k in (-1, 2):  # CFL has no corrupt node; any index shows all
+            observed, visible = extract_observation(Mode.CFL, k, g)
+            assert set(visible) == set(range(5))
+            assert np.array_equal(observed, g)
+            assert np.array_equal(observed[:, 3], [6.0, 7.0])
 
     def test_cfl_sa_single_average_plus_own(self):
-        grads = grads_for([[4.0], [0.0], [2.0]])
-        obs = extract_observation(Mode.CFL_SA, 1, grads)
-        assert obs.labels() == ("average", "own_gradient:1")
-        assert obs.get("average")[0] == pytest.approx(2.0)
+        # k receives the average and knows its own gradient; the view
+        # keeps what the own term does not explain: the others' sum.
+        g = columns([[4.0], [1.0], [2.0]])
+        observed, visible = extract_observation(Mode.CFL_SA, 1, g)
+        assert observed.shape == (1,)
+        assert observed[0] == 6.0
+        assert observed[0] == pytest.approx(3 * g.mean() - g[0, 1])
+        assert not visible
 
     def test_dfl_star_leaf_sees_hub_and_itself(self):
+        # The leaf's own gradient is known, so only the hub's is shown.
         star = Graph(n=5, edges=((0, 1), (0, 2), (0, 3), (0, 4)))
-        grads = grads_for(np.arange(5.0)[:, None])
-        obs = extract_observation(Mode.DFL, 3, grads, graph=star)
-        assert obs.labels() == ("gradient:0", "own_gradient:3")
+        g = columns((10.0 + np.arange(5.0))[:, None])
+        observed, visible = extract_observation(Mode.DFL, 3, g, graph=star)
+        assert set(visible) == {0}
+        assert np.array_equal(observed, [[10.0]])
 
     def test_dfl_sa_complete_graph_aggregate(self):
-        g = generate_graph(3, 1.0, seed=0)
-        w = metropolis_weights(g)
-        grads = grads_for([[3.0], [0.0], [0.0]])
-        obs = extract_observation(Mode.DFL_SA, 1, grads, graph=g, weights=w)
-        assert obs.labels() == ("weighted_aggregate", "own_gradient:1")
-        assert obs.get("weighted_aggregate")[0] == pytest.approx(1.0, abs=1e-15)
+        graph = generate_graph(3, 1.0, seed=0)
+        w = metropolis_weights(graph)
+        g = columns([[3.0], [6.0], [0.0]])
+        observed, visible = extract_observation(Mode.DFL_SA, 1, g, graph=graph, weights=w)
+        # (3 + 6 + 0) / 3 with the own term 6 / 3 dropped.
+        assert observed.shape == (1,)
+        assert observed[0] == pytest.approx(1.0, abs=1e-15)
+        assert not visible
 
     def test_dfl_requires_graph(self):
-        grads = grads_for([[1.0], [2.0]])
+        g = columns([[1.0], [2.0]])
         with pytest.raises(ValueError, match="requires a graph"):
-            extract_observation(Mode.DFL, 0, grads)
+            extract_observation(Mode.DFL, 0, g)
 
     def test_dfl_sa_requires_weights(self):
-        g = generate_graph(3, 1.0, seed=0)
-        grads = grads_for([[1.0], [2.0], [3.0]])
+        graph = generate_graph(3, 1.0, seed=0)
+        g = columns([[1.0], [2.0], [3.0]])
         with pytest.raises(ValueError, match="weight matrix"):
-            extract_observation(Mode.DFL_SA, 0, grads, graph=g)
+            extract_observation(Mode.DFL_SA, 0, g, graph=graph)
+
+    def test_graph_size_must_match(self):
+        graph = generate_graph(4, 1.0, seed=0)
+        with pytest.raises(ValueError, match="graph has n=4 but g has 3 columns"):
+            extract_observation(Mode.DFL, 0, columns([[1.0], [2.0], [3.0]]), graph=graph)
+
+    @pytest.mark.parametrize(
+        "mode, corrupt",
+        [(m, 9) for m in ALL_MODES] + [(m, -1) for m in ALL_MODES if m is not Mode.CFL],
+    )
+    def test_out_of_range_corrupt_node_rejected(self, mode, corrupt):
+        graph = generate_graph(9, 0.5, seed=0)
+        g = np.random.default_rng(0).standard_normal((4, 9))
+        with pytest.raises(ValueError, match=f"corrupt node {corrupt} out of range for n=9"):
+            extract_observation(
+                mode, corrupt, g, graph=graph, weights=metropolis_weights(graph)
+            )
 
     @pytest.mark.parametrize("seed", range(4))
     def test_dfl_never_contains_non_neighbor(self, seed):
-        g = generate_graph(9, 0.4, seed=seed)
-        grads = grads_for(np.random.default_rng(seed).standard_normal((9, 2)))
+        graph = generate_graph(9, 0.4, seed=seed)
+        g = np.random.default_rng(seed).standard_normal((2, 9))
         for k in range(9):
-            obs = extract_observation(Mode.DFL, k, grads, graph=g)
+            observed, visible = extract_observation(Mode.DFL, k, g, graph=graph)
             exposed = {
-                int(item.label.split(":")[1])
-                for item in obs.items
-                if item.label.startswith("gradient:")
+                j
+                for j in range(9)
+                for column in observed.T
+                if np.array_equal(column, g[:, j])
             }
-            assert exposed == set(int(j) for j in g.neighbors(k))
+            neighbors = set(int(j) for j in graph.neighbors(k))
+            assert exposed == neighbors
+            assert set(visible) == neighbors
 
     def test_re_extraction_bit_identical(self):
-        g = generate_graph(6, 0.6, seed=2)
-        w = metropolis_weights(g)
-        grads = grads_for(np.random.default_rng(3).standard_normal((6, 3)))
-        a = extract_observation(Mode.DFL_SA, 4, grads, graph=g, weights=w)
-        b = extract_observation(Mode.DFL_SA, 4, grads, graph=g, weights=w)
-        assert a.labels() == b.labels()
-        for x, y in zip(a.items, b.items):
-            assert np.array_equal(x.values, y.values)
-
-
-class QuadraticModel:
-    """Convex toy loss ||w - target||^2 per node; exact gradient."""
-
-    dim = 3
-
-    def gradient(self, weights, target):
-        return 2.0 * (weights - target)
-
-    def loss(self, weights, target):
-        return float(np.sum((weights - target) ** 2))
-
-
-class TestRunProtocol:
-    def test_single_node_is_plain_gradient_descent(self):
-        model = QuadraticModel()
-        target = np.array([1.0, -1.0, 2.0])
-        trace = run_protocol(
-            Mode.CFL, model, [target], rounds=4, eta=0.1, initial_weights=np.zeros(3)
-        )
-        w = np.zeros(3)
-        for expected_round in trace.states:
-            w = w - 0.1 * 2.0 * (w - target)
-            assert np.allclose(expected_round[0].weights, w, atol=1e-14)
-
-    def test_cfl_matches_complete_graph_dfl(self):
-        model = LinearSoftmaxModel()
-        data = [[img] for img in make_blob_dataset(6, seed=2)]
-        g = generate_graph(6, 1.0, seed=0)
-        w = metropolis_weights(g)
-        t_cfl = run_protocol(Mode.CFL, model, data, rounds=5, eta=0.5)
-        t_dfl = run_protocol(Mode.DFL, model, data, rounds=5, eta=0.5, graph=g, weights=w)
-        for round_cfl, round_dfl in zip(t_cfl.states, t_dfl.states):
-            for a, b in zip(round_cfl, round_dfl):
-                assert np.abs(a.weights - b.weights).max() < 1e-8
-
-    def test_quadratic_loss_monotone_for_small_step(self):
-        model = QuadraticModel()
-        data = [np.array([1.0, -2.0, 0.5]) * (i + 1) for i in range(4)]
-        trace = run_protocol(Mode.CFL, model, data, rounds=25, eta=0.05)
-        losses = [
-            np.mean([model.loss(rnd[0].weights, d) for d in data])
-            for rnd in trace.states
-        ]
-        assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
-
-    def test_gossip_to_convergence_aligns_nodes(self):
-        model = QuadraticModel()
-        data = [np.array([1.0, 0.0, -1.0]) * (i - 1) for i in range(5)]
-        g = generate_graph(5, 0.5, seed=4)
-        w = metropolis_weights(g)
-        trace = run_protocol(
-            Mode.DFL, model, data, rounds=3, eta=0.1,
-            graph=g, weights=w, gossip_to_convergence=True,
-        )
-        final = trace.final_weights()
-        assert np.abs(final - final.mean(axis=0)).max() < 1e-8
-
-    def test_one_shot_gossip_leaves_disagreement_on_sparse_graph(self):
-        model = QuadraticModel()
-        data = [np.array([1.0, 0.0, -1.0]) * (i + 1) for i in range(5)]
-        g = generate_graph(5, 0.5, seed=4)
-        w = metropolis_weights(g)
-        trace = run_protocol(Mode.DFL, model, data, rounds=3, eta=0.1, graph=g, weights=w)
-        final = trace.final_weights()
-        assert np.abs(final - final.mean(axis=0)).max() > 1e-6
-
-    def test_observation_recorded_every_round(self):
-        model = QuadraticModel()
-        data = [np.ones(3) * i for i in range(4)]
-        g = generate_graph(4, 1.0, seed=0)
-        w = metropolis_weights(g)
-        trace = run_protocol(
-            Mode.DFL_SA, model, data, rounds=6, eta=0.1, graph=g, weights=w,
-            corrupt_node=2,
-        )
-        assert len(trace.observations) == 6
-        assert all(o.mode is Mode.DFL_SA and o.corrupt_node == 2 for o in trace.observations)
-
-    def test_invalid_round_count_rejected(self):
-        with pytest.raises(ValueError, match="rounds"):
-            run_protocol(Mode.CFL, QuadraticModel(), [np.zeros(3)], rounds=0, eta=0.1)
-
-
-class TestStackGradients:
-    def test_mixed_dimensions_rejected(self):
-        with pytest.raises(ValueError, match="differ"):
-            stack_gradients(grads_for([[1.0], [1.0, 2.0]]))
-
-    def test_one_dimensional_array_promoted(self):
-        assert stack_gradients(np.array([1.0, 2.0])).shape == (2, 1)
+        graph = generate_graph(6, 0.6, seed=2)
+        w = metropolis_weights(graph)
+        g = np.random.default_rng(3).standard_normal((3, 6))
+        for mode in ALL_MODES:
+            a, seen_a = extract_observation(mode, 4, g, graph=graph, weights=w)
+            b, seen_b = extract_observation(mode, 4, g, graph=graph, weights=w)
+            assert np.array_equal(a, b)
+            assert set(seen_a) == set(seen_b)
