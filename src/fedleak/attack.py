@@ -15,6 +15,17 @@ sign-of-gradient descent (learning rate decays 10x at 50% and 75% of
 the iterations; a constant step would oscillate at the step size).
 Labels are treated as known: the attack reconstructs inputs only.
 
+The inversion is batched: `invert_gradient` takes a stack of observed
+gradients with one label and one dummy seed per row, and runs one
+descent loop on (rows x pixels) matrices; `attack_experiment` sends
+every target of every (mode, graph, weights) view of one seed in one
+call. A single observation is a batch of one. Rows share only the
+model: each row keeps its own zero-observation and saturation stops,
+and every pixel moves by exactly -step, 0 or +step per step, so a row's
+reconstruction does not depend on what else is in its batch (the
+matrix products' rounding could matter only through the sign of a
+gradient component within rounding of 0).
+
 Reconstruction quality is scored with a single-window SSIM over the
 whole image; the images are smaller than the standard sliding window.
 """
@@ -22,6 +33,7 @@ whole image; the images are smaller than the standard sliding window.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,8 +117,9 @@ class ToyModel:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max())
-    return e / e.sum()
+    """Softmax over the last axis (one row per sample)."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _blob(cr: float, cc: float, height: int, width: int) -> np.ndarray:
@@ -187,61 +200,98 @@ def exact_input_from_gradient(observed, model: ToyModel) -> np.ndarray:
 def invert_gradient(
     observed,
     model: ToyModel,
-    label: int,
+    label,
     iters: int = 1000,
     lr: float = 0.1,
     seed=0,
     image_shape: tuple[int, int] | None = None,
-) -> ToyImage:
-    """Reconstruct an input whose gradient matches the observed vector.
+) -> ToyImage | tuple[ToyImage, ...]:
+    """Reconstruct inputs whose gradients match the observed vectors.
 
-    Starts from a random dummy image and runs sign-of-gradient descent
-    on the cosine dissimilarity between the dummy's gradient and the
-    observed one, clamping to [0, 1] each step. A zero observation
-    carries no signal and returns the initial dummy unchanged.
+    ``observed`` is one gradient of length ``model.dim`` or a stack of
+    them, one per row; ``label`` and ``seed`` then hold one entry per row.
+    A single gradient is run as a batch of one and returns one ToyImage;
+    a stack returns a tuple of ToyImages in row order.
+
+    Each row starts from a random dummy image drawn from its own seed and
+    runs sign-of-gradient descent on the cosine dissimilarity between
+    the dummy's gradient and its observed one, clamping to [0, 1] each
+    step. All rows descend together as matrices, but every step is
+    row-wise, and rows share only the model:
+      - a zero observation carries no signal and returns its initial
+        dummy unchanged;
+      - a row whose own gradient vanishes (a saturated prediction) stops
+        there for good, while the other rows go on;
+      - a non-finite cosine on any running row raises RuntimeError.
+    So a row's result does not depend on what else is in its batch. A
+    step moves each pixel by exactly -step, 0 or +step before the clamp,
+    so the batch's matrix products, whose rounding may differ from a
+    batch of one, could change a result only through a sign of a
+    gradient component within rounding of 0.
     """
+    if iters < 1:
+        raise ValueError(f"iters must be >= 1, got {iters}")
+    if not (math.isfinite(lr) and lr > 0.0):
+        raise ValueError(f"lr must be finite and > 0, got {lr!r}")
     if image_shape is None:
         side = math.isqrt(model.n_pixels)
         if side * side != model.n_pixels:
             raise ValueError("pass image_shape for non-square images")
         image_shape = (side, side)
-    vec = observed.values if isinstance(observed, GradientVector) else np.asarray(observed, float)
-    dw_obs, db_obs = _split_gradient(vec, model)
-    obs = np.concatenate([dw_obs.ravel(), db_obs])
-    obs_norm = np.linalg.norm(obs)
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(0.0, 1.0, model.n_pixels)
-    if obs_norm == 0.0:
-        return ToyImage(pixels=x.reshape(image_shape), label=label)
-    obs_hat = obs / obs_norm
+    obs = observed.values if isinstance(observed, GradientVector) else np.asarray(observed, float)
+    single = obs.ndim == 1
+    obs = np.atleast_2d(obs)
+    labels = np.array([label] if single else label, dtype=int)
+    seeds = [seed] if single else list(seed)
+    rows = obs.shape[0]
+    if obs.ndim != 2 or labels.shape != (rows,) or len(seeds) != rows:
+        raise ValueError(
+            f"need one label and one seed per observed row; got {rows} "
+            f"rows, {labels.size} labels, {len(seeds)} seeds"
+        )
+    if obs.shape[1] != model.dim:
+        raise ValueError(f"gradient dim {obs.shape[1]} != model dim {model.dim}")
+    obs_norm = np.linalg.norm(obs, axis=1)
+    x = np.stack([np.random.default_rng(s).uniform(0.0, 1.0, model.n_pixels) for s in seeds])
+    live = obs_norm != 0.0  # a zero observation keeps its dummy
+    obs_hat = obs / np.where(live, obs_norm, 1.0)[:, None]
 
     w = model.w
     cut = w.size
+    every = np.arange(rows)
     for it in range(iters):
+        if not live.any():
+            break
         step = lr * (0.1 ** ((it >= iters // 2) + (it >= 3 * iters // 4)))
-        p = _softmax(w @ x + model.b)
+        p = _softmax(x @ w.T + model.b)
         a = p.copy()
-        a[label] -= 1.0
-        g = np.concatenate([np.outer(a, x).ravel(), a])
-        g_norm = np.linalg.norm(g)
-        if g_norm == 0.0:
-            break  # saturated prediction: no gradient signal left
-        g_hat = g / g_norm
-        cos = float(g_hat @ obs_hat)
-        if not math.isfinite(cos):
+        a[every, labels] -= 1.0
+        g = np.concatenate([(a[:, :, None] * x[:, None, :]).reshape(rows, cut), a], axis=1)
+        g_norm = np.linalg.norm(g, axis=1)
+        live &= g_norm != 0.0  # saturated prediction: no gradient signal left
+        g_norm = np.where(live, g_norm, 1.0)
+        g_hat = g / g_norm[:, None]
+        cos = np.einsum("rd,rd->r", g_hat, obs_hat)
+        bad = live & ~np.isfinite(cos)
+        if bad.any():
             raise RuntimeError(
-                f"gradient matching diverged at iteration {it}: cosine={cos}"
+                f"gradient matching diverged at iteration {it}: "
+                f"cosine={cos[bad][0]} (row {np.flatnonzero(bad)[0]})"
             )
         # d(1 - cos)/dx via the chain rule through g(x); S is the
         # softmax Jacobian diag(p) - p p^T.
-        v = -(obs_hat - cos * g_hat) / g_norm
-        v_w = v[:cut].reshape(w.shape)
-        v_b = v[cut:]
-        u = v_w @ x + v_b
-        s_u = p * u - p * (p @ u)
-        grad_x = w.T @ s_u + v_w.T @ a
-        x = np.clip(x - step * np.sign(grad_x), 0.0, 1.0)
-    return ToyImage(pixels=x.reshape(image_shape), label=label)
+        v = -(obs_hat - cos[:, None] * g_hat) / g_norm[:, None]
+        v_w = v[:, :cut].reshape(rows, *w.shape)
+        v_b = v[:, cut:]
+        u = np.einsum("rcq,rq->rc", v_w, x) + v_b
+        s_u = p * u - p * np.einsum("rc,rc->r", p, u)[:, None]
+        grad_x = s_u @ w + np.einsum("rcq,rc->rq", v_w, a)
+        x = np.where(live[:, None], np.clip(x - step * np.sign(grad_x), 0.0, 1.0), x)
+    images = tuple(
+        ToyImage(pixels=x[r].reshape(image_shape), label=int(labels[r]))
+        for r in range(rows)
+    )
+    return images[0] if single else images
 
 
 def ssim(a, b) -> float:
@@ -317,10 +367,8 @@ def _observed_for_target(
 
 
 def attack_experiment(
-    mode: Mode,
+    views: Sequence[tuple[Mode, Graph | None, WeightMatrix | None]],
     n: int = 10,
-    graph: Graph | None = None,
-    weights: WeightMatrix | None = None,
     seed: int = 0,
     corrupt_node: int = 0,
     iters: int = 1000,
@@ -328,28 +376,41 @@ def attack_experiment(
     height: int = DEFAULT_HEIGHT,
     width: int = DEFAULT_WIDTH,
     classes: int = DEFAULT_CLASSES,
-) -> AttackResult:
-    """Reconstruct every honest node's image under one mode and score it.
+) -> list[AttackResult]:
+    """Reconstruct every honest node's image under each view and score it.
 
+    ``views`` is a sequence of (mode, graph, weights); decentralized
+    modes need the graph, and weights default to its Metropolis weights.
     Each node holds one synthetic image; all per-node gradients are
     taken at a shared random model. The observed quantity per target
     follows the mode (exact gradient, global average, neighbor gradient
-    or non-neighbor average, gossip aggregate or honest average).
+    or non-neighbor average, gossip aggregate or honest average). Every
+    target of every view is inverted in one `invert_gradient` batch,
+    and one AttackResult is returned per view, in order.
     Dataset, model and per-target dummy initializations derive from
     (seed, node) only, never from the mode or graph, so runs across
     modes are directly comparable. Deterministic per seed.
     """
     if n < 3:
         raise ValueError(f"need n >= 3 nodes, got {n}")
-    if mode.decentralized:
-        if graph is None:
-            raise ValueError(f"mode {mode.value} requires a graph")
-        if graph.n != n:
-            raise ValueError(f"graph has n={graph.n}, expected {n}")
-        if weights is None:
-            weights = metropolis_weights(graph)
     if not (0 <= corrupt_node < n):
         raise ValueError(f"corrupt node {corrupt_node} out of range")
+    if not views:
+        raise ValueError("need at least one view")
+    prepared = []
+    for mode, graph, weights in views:
+        neighbor_set, weight_row = set(), None
+        if mode.decentralized:
+            if graph is None:
+                raise ValueError(f"mode {mode.value} requires a graph")
+            if graph.n != n:
+                raise ValueError(f"graph has n={graph.n}, expected {n}")
+            neighbor_set = set(int(j) for j in graph.neighbors(corrupt_node))
+        if mode is Mode.DFL_SA:
+            if weights is None:
+                weights = metropolis_weights(graph)
+            weight_row = weights.row(corrupt_node)
+        prepared.append((mode, neighbor_set, weight_row))
 
     root = np.random.SeedSequence(entropy=(int(seed), 0x617474))
     data_ss, model_ss = root.spawn(2)
@@ -360,40 +421,42 @@ def attack_experiment(
         b=np.zeros(classes),
     )
     grads = np.stack([toy_gradient(model, img).values for img in images])
-    neighbor_set = (
-        set(int(j) for j in graph.neighbors(corrupt_node))
-        if mode.decentralized
-        else set()
+    nodes = [node for node in range(n) if node != corrupt_node]
+    observed = [
+        _observed_for_target(mode, node, grads, corrupt_node, neighbor_set, weight_row)
+        for mode, neighbor_set, weight_row in prepared
+        for node in nodes
+    ]
+    recons = invert_gradient(
+        np.stack(observed),
+        model,
+        label=[images[node].label for node in nodes] * len(prepared),
+        iters=iters,
+        lr=lr,
+        seed=[
+            np.random.SeedSequence(entropy=(int(seed), int(node)))
+            for node in nodes
+        ] * len(prepared),
+        image_shape=(height, width),
     )
-    weight_row = weights.row(corrupt_node) if mode is Mode.DFL_SA else None
 
-    targets = []
-    for node in range(n):
-        if node == corrupt_node:
-            continue
-        observed = _observed_for_target(
-            mode, node, grads, corrupt_node, neighbor_set, weight_row
-        )
-        recon = invert_gradient(
-            observed,
-            model,
-            label=images[node].label,
-            iters=iters,
-            lr=lr,
-            seed=np.random.SeedSequence(entropy=(int(seed), int(node))),
-            image_shape=(height, width),
-        )
-        targets.append(
+    results = []
+    for idx, (mode, neighbor_set, _) in enumerate(prepared):
+        targets = tuple(
             TargetReconstruction(
                 node=node,
                 is_neighbor=(node in neighbor_set) if mode.decentralized else None,
                 ssim=ssim(recon, images[node]),
                 image=recon,
             )
+            for node, recon in zip(nodes, recons[idx * len(nodes):(idx + 1) * len(nodes)])
         )
-    return AttackResult(
-        mode=mode,
-        corrupt_node=corrupt_node,
-        targets=tuple(targets),
-        average_ssim=float(np.mean([t.ssim for t in targets])),
-    )
+        results.append(
+            AttackResult(
+                mode=mode,
+                corrupt_node=corrupt_node,
+                targets=targets,
+                average_ssim=float(np.mean([t.ssim for t in targets])),
+            )
+        )
+    return results

@@ -72,15 +72,6 @@ def _parse_modes(text: str) -> tuple[Mode, ...]:
     return tuple(Mode.parse(tok) for tok in text.split(",") if tok.strip())
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = str(text).strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
-
-
 class _Options:
     """Layered option lookup: CLI flag, then config file, then default."""
 
@@ -141,7 +132,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     n_values = opts.get("n", (10, 20, 30, 40, 50), _parse_int_list)
     densities = opts.get("densities", (0.3, 0.6, 0.9), _parse_float_list)
     modes = opts.get("modes", ALL_MODES, _parse_modes)
-    analytic_only = opts.get("analytic_only", False, _parse_bool)
     out_dir = Path(opts.get("out_dir", "out/simulate", str))
 
     manifest = _manifest_base("simulate", out_dir)
@@ -150,44 +140,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         samples=str(samples),
         knn_k=str(k_nn),
         n=",".join(str(v) for v in n_values),
-        densities=",".join(f"{d:g}" for d in densities),
+        densities=",".join(repr(float(d)) for d in densities),
         modes=_mode_values(modes),
-        analytic_only=str(analytic_only).lower(),
     )
-
-    if analytic_only:
-        bad = [m.value for m in modes if not m.secure_aggregation]
-        if bad:
-            raise UsageError(
-                f"--analytic-only has closed forms only for cfl_sa/dfl_sa, "
-                f"got {','.join(bad)}"
-            )
-        rows = []
-        for n in n_values:
-            for density in densities:
-                for mode in modes:
-                    value, actual = analytic_cell_average(mode, n, density, seed)
-                    rows.append(
-                        (mode.value, n, density, actual, value, value, math.nan)
-                    )
-        summary_path = out_dir / "leakage_summary.csv"
-        write_csv(
-            summary_path,
-            ["mode", "n", "density", "actual_density", "leakage_nats",
-             "analytic_nats", "relative"],
-            rows,
-        )
-        series = _summary_series(rows, value_idx=4)
-        svg_path = out_dir / "leakage_analytic.svg"
-        atomic_write_text(
-            svg_path,
-            svg_line_chart(series, "Closed-form leakage", "nodes n", "leakage (nats)"),
-        )
-        manifest["output_summary"] = summary_path.name
-        manifest["output_svg"] = svg_path.name
-        write_manifest(out_dir / "manifest.txt", manifest)
-        print(f"analytic summary written to {out_dir}", file=sys.stderr)
-        return EXIT_OK
 
     try:
         config = ExperimentConfig(
@@ -337,6 +292,10 @@ def cmd_attack(args: argparse.Namespace) -> int:
         raise UsageError(f"--n: the attack needs at least 3 nodes, got {n}")
     if not 0 <= corrupt < n:
         raise UsageError(f"--corrupt: node {corrupt} out of range for n={n}")
+    if iters < 1:
+        raise UsageError(f"--iters must be >= 1, got {iters}")
+    if not (math.isfinite(lr) and lr > 0.0):
+        raise UsageError(f"--lr must be finite and > 0, got {lr!r}")
     if needs_topology and fixed_graph is None:
         _check_densities((n,), densities)
 
@@ -345,7 +304,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
         seed=str(seed),
         n=str(n),
         modes=_mode_values(modes),
-        densities=",".join(f"{d:g}" for d in densities),
+        densities=",".join(repr(float(d)) for d in densities),
         seeds=str(n_seeds),
         iters=str(iters),
         lr=repr(float(lr)),
@@ -354,8 +313,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
     if graph_file:
         manifest["graph_file"] = str(graph_file)
 
-    detail_rows = []
-    summary = {}
+    cells = []  # (mode, density, view) in output order
     for density in densities:
         graph = weights = None
         if needs_topology:
@@ -366,42 +324,42 @@ def cmd_attack(args: argparse.Namespace) -> int:
                 graph = generate_graph(n, density, graph_seed)
             weights = metropolis_weights(graph)
         for mode in modes:
-            ssims = []
-            for offset in range(n_seeds):
-                result = attack_experiment(
-                    mode,
-                    n=n,
-                    graph=graph if mode.decentralized else None,
-                    weights=weights if mode.decentralized else None,
-                    seed=seed + offset,
-                    corrupt_node=corrupt,
-                    iters=iters,
-                    lr=lr,
-                )
-                ssims.append(result.average_ssim)
-                for target in result.targets:
-                    detail_rows.append(
-                        (
-                            mode.value,
-                            density,
-                            target.node,
-                            target.is_neighbor,
-                            target.ssim,
-                        )
-                    )
-                if offset == 0:
-                    for target in result.targets:
-                        name = (
-                            f"recon/{mode.value}_d{_density_token(density)}"
-                            f"_node{target.node:02d}.pgm"
-                        )
-                        write_pgm(out_dir / name, target.image.pixels)
-            summary[(mode, density)] = float(np.mean(ssims))
-            print(
-                f"[attack] {mode.value} density={density:g}: "
-                f"avg ssim {summary[(mode, density)]:.3f} over {n_seeds} seed(s)",
-                file=sys.stderr,
+            view = (mode, graph, weights) if mode.decentralized else (mode, None, None)
+            cells.append((mode, density, view))
+    ssims = [[] for _ in cells]
+    details = [[] for _ in cells]
+    for offset in range(n_seeds):
+        # one batched inversion per seed for every mode and density
+        results = attack_experiment(
+            [view for _, _, view in cells],
+            n=n,
+            seed=seed + offset,
+            corrupt_node=corrupt,
+            iters=iters,
+            lr=lr,
+        )
+        for idx, ((mode, density, _), result) in enumerate(zip(cells, results)):
+            ssims[idx].append(result.average_ssim)
+            details[idx].extend(
+                (mode.value, density, target.node, target.is_neighbor, target.ssim)
+                for target in result.targets
             )
+            if offset == 0:
+                for target in result.targets:
+                    name = (
+                        f"recon/{mode.value}_d{_density_token(density)}"
+                        f"_node{target.node:02d}.pgm"
+                    )
+                    write_pgm(out_dir / name, target.image.pixels)
+    detail_rows = [row for rows in details for row in rows]
+    summary = {}
+    for (mode, density, _), values in zip(cells, ssims):
+        summary[(mode, density)] = float(np.mean(values))
+        print(
+            f"[attack] {mode.value} density={density:g}: "
+            f"avg ssim {summary[(mode, density)]:.3f} over {n_seeds} seed(s)",
+            file=sys.stderr,
+        )
 
     detail_path = out_dir / "attack_ssim.csv"
     write_csv(
@@ -524,7 +482,7 @@ def cmd_analytic(args: argparse.Namespace) -> int:
         manifest.update(
             seed=str(seed),
             n=",".join(str(v) for v in n_values),
-            densities=",".join(f"{d:g}" for d in densities),
+            densities=",".join(repr(float(d)) for d in densities),
             output_csv=path.name,
         )
         write_manifest(Path(out_dir) / "manifest.txt", manifest)
@@ -551,13 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sim)
     sim.add_argument("--samples", help="Monte-Carlo draws per variable")
     sim.add_argument("--knn-k", dest="knn_k", help="kNN estimator neighbor count")
-    sim.add_argument(
-        "--analytic-only",
-        dest="analytic_only",
-        action="store_const",
-        const=True,
-        help="emit closed-form values only (no sampling)",
-    )
     sim.set_defaults(func=cmd_simulate)
 
     atk = sub.add_parser("attack", help="run the gradient-inversion attack grid")

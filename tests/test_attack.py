@@ -145,6 +145,132 @@ class TestInvertGradient:
         assert np.array_equal(a.pixels, b.pixels)
 
 
+def reference_inversion(observed, model, label, iters, seed, lr=0.1):
+    """The one-target descent loop that the batch replaced, kept as the
+    reference: gemv products and a break on a zero gradient."""
+    x = np.random.default_rng(seed).uniform(0.0, 1.0, model.n_pixels)
+    obs_norm = np.linalg.norm(observed)
+    if obs_norm == 0.0:
+        return x
+    obs_hat = observed / obs_norm
+    cut = model.w.size
+    for it in range(iters):
+        step = lr * (0.1 ** ((it >= iters // 2) + (it >= 3 * iters // 4)))
+        z = model.w @ x + model.b
+        p = np.exp(z - z.max())
+        p /= p.sum()
+        a = p.copy()
+        a[label] -= 1.0
+        g = np.concatenate([np.outer(a, x).ravel(), a])
+        g_norm = np.linalg.norm(g)
+        if g_norm == 0.0:
+            break
+        g_hat = g / g_norm
+        v = -(obs_hat - (g_hat @ obs_hat) * g_hat) / g_norm
+        v_w = v[:cut].reshape(model.w.shape)
+        u = v_w @ x + v[cut:]
+        grad_x = model.w.T @ (p * u - p * (p @ u)) + v_w.T @ a
+        x = np.clip(x - step * np.sign(grad_x), 0.0, 1.0)
+    return x
+
+
+def dummy(seed, pixels=64):
+    """The starting image invert_gradient draws for one row's seed."""
+    return np.random.default_rng(seed).uniform(0.0, 1.0, pixels)
+
+
+class TestInvertGradientBatch:
+    """A stack of observations descends as one batch; each row behaves
+    as if inverted alone."""
+
+    @pytest.fixture(scope="class")
+    def batch(self):
+        # Class 3 reads pixel 0 with a huge weight: a dummy whose pixel 0
+        # exceeds 0.75 predicts class 3 with probability exactly 1, so a
+        # row labelled 3 starts with a zero gradient.
+        model = random_model(0, scale=0.02)
+        w, b = model.w.copy(), model.b.copy()
+        w[3, 0], b[3] = 4000.0, -2000.0
+        model = ToyModel(w=w, b=b)
+        images = make_blob_dataset(8, seed=4)
+        grads = np.stack([toy_gradient(model, im).values for im in images])
+        saturated_seed = next(s for s in range(100, 200) if dummy(s)[0] > 0.75)
+        observed = np.stack(
+            [
+                grads[0],  # exact gradient, label 0
+                grads[[1, 2, 5, 6]].mean(axis=0),  # averaged gradient, label 1
+                np.zeros(model.dim),  # zero observation
+                grads[3],  # saturated from the start, label 3
+            ]
+        )
+        labels = [0, 1, 2, 3]
+        seeds = [11, 12, 13, saturated_seed]
+        recons = invert_gradient(observed, model, labels, iters=200, seed=seeds)
+        return model, observed, labels, seeds, recons
+
+    def test_saturated_row_starts_with_zero_gradient(self, batch):
+        model, _, _, seeds, _ = batch
+        start = ToyImage(pixels=dummy(seeds[3]).reshape(8, 8), label=3)
+        assert not np.any(toy_gradient(model, start).values)
+
+    def test_each_row_equals_its_batch_of_one(self, batch):
+        model, observed, labels, seeds, recons = batch
+        assert len(recons) == len(labels)
+        for row, recon in enumerate(recons):
+            alone = invert_gradient(
+                observed[row], model, labels[row], iters=200, seed=seeds[row]
+            )
+            assert recon.label == labels[row]
+            assert np.array_equal(recon.pixels, alone.pixels), row
+
+    def test_each_row_equals_the_one_target_loop(self, batch):
+        # x moves by exactly +-step, so the batch's different rounding of
+        # the products shows only if a gradient sign flips; none does here
+        model, observed, labels, seeds, recons = batch
+        for row, recon in enumerate(recons):
+            expected = reference_inversion(observed[row], model, labels[row], 200, seeds[row])
+            assert np.array_equal(recon.pixels.ravel(), expected), row
+
+    def test_row_order_does_not_matter(self, batch):
+        model, observed, labels, seeds, recons = batch
+        backwards = invert_gradient(
+            observed[::-1], model, labels[::-1], iters=200, seed=seeds[::-1]
+        )
+        for recon, other in zip(recons, backwards[::-1]):
+            assert np.array_equal(recon.pixels, other.pixels)
+
+    def test_zero_and_saturated_rows_keep_their_dummies(self, batch):
+        *_, seeds, recons = batch
+        for row in (2, 3):
+            assert np.array_equal(recons[row].pixels.ravel(), dummy(seeds[row]))
+
+    def test_other_rows_go_on(self, batch):
+        *_, seeds, recons = batch
+        for row in (0, 1):
+            assert not np.array_equal(recons[row].pixels.ravel(), dummy(seeds[row]))
+
+    def test_non_finite_cosine_raises(self, batch):
+        model, observed, labels, seeds, _ = batch
+        bad = observed.copy()
+        bad[1, 0] = np.nan
+        with pytest.raises(RuntimeError, match="diverged at iteration 0"):
+            invert_gradient(bad, model, labels, iters=5, seed=seeds)
+
+    def test_one_label_and_seed_per_row(self, batch):
+        model, observed, labels, seeds, _ = batch
+        with pytest.raises(ValueError, match="one label and one seed per observed row"):
+            invert_gradient(observed, model, labels[:3], iters=5, seed=seeds)
+
+    @pytest.mark.parametrize(
+        "iters, lr",
+        [(0, 0.1), (-5, 0.1), (10, 0.0), (10, -0.1), (10, float("nan")), (10, float("inf"))],
+    )
+    def test_bad_iters_or_lr_rejected(self, iters, lr):
+        model = random_model(1, scale=0.02)
+        with pytest.raises(ValueError, match="iters must be >= 1|lr must be finite"):
+            invert_gradient(np.ones(model.dim), model, 0, iters=iters, lr=lr)
+
+
 class TestSsim:
     def test_identical_images_score_one(self):
         img = make_blob_dataset(1, seed=0)[0]
@@ -182,14 +308,9 @@ def quick_attack(mode, density, seed=0, n=10, iters=120):
     _, graph_seed, _ = cell_seed_sequences(seed, n, density)
     graph = generate_graph(n, density, graph_seed)
     weights = metropolis_weights(graph)
-    return attack_experiment(
-        mode,
-        n=n,
-        graph=graph if mode.decentralized else None,
-        weights=weights if mode.decentralized else None,
-        seed=seed,
-        iters=iters,
-    )
+    view = (mode, graph, weights) if mode.decentralized else (mode, None, None)
+    (result,) = attack_experiment([view], n=n, seed=seed, iters=iters)
+    return result
 
 
 class TestAttackExperiment:
@@ -238,10 +359,31 @@ class TestAttackExperiment:
             gaps.append(cfl.average_ssim - cfl_sa.average_ssim)
         assert np.mean(gaps) > 0.05
 
+    def test_multi_view_equals_views_run_alone(self):
+        _, graph_seed, _ = cell_seed_sequences(4, 7, 0.5)
+        graph = generate_graph(7, 0.5, graph_seed)
+        weights = metropolis_weights(graph)
+        views = [
+            (Mode.CFL, None, None),
+            (Mode.DFL, graph, weights),
+            (Mode.CFL_SA, None, None),
+            (Mode.DFL_SA, graph, weights),
+        ]
+        kwargs = dict(n=7, seed=4, corrupt_node=2, iters=120)
+        together = attack_experiment(views, **kwargs)
+        assert len(together) == len(views)
+        for view, result in zip(views, together):
+            (alone,) = attack_experiment([view], **kwargs)
+            assert result.mode is view[0]
+            assert result.average_ssim == alone.average_ssim
+            for t, u in zip(result.targets, alone.targets, strict=True):
+                assert (t.node, t.is_neighbor, t.ssim) == (u.node, u.is_neighbor, u.ssim)
+                assert np.array_equal(t.image.pixels, u.image.pixels)
+
     def test_topology_required_for_decentralized(self):
         with pytest.raises(ValueError, match="requires a graph"):
-            attack_experiment(Mode.DFL, n=10, seed=0)
+            attack_experiment([(Mode.DFL, None, None)], n=10, seed=0)
 
     def test_minimum_network_size(self):
         with pytest.raises(ValueError, match="n >= 3"):
-            attack_experiment(Mode.CFL, n=2, seed=0)
+            attack_experiment([(Mode.CFL, None, None)], n=2, seed=0)

@@ -40,6 +40,8 @@ class TestUsageErrors:
             (["attack", "--n", "2"], "--n: the attack needs at least 3 nodes"),
             (["attack", "--n", "6", "--corrupt", "9"], "--corrupt: node 9 out of range"),
             (["attack", "--seeds", "0", "--iters", "20"], "--seeds must be >= 1"),
+            (["attack", "--iters", "-5"], "--iters must be >= 1, got -5"),
+            (["attack", "--iters", "20", "--lr", "nan"], "--lr must be finite and > 0"),
             (
                 ["simulate", "--n", "4", "--samples", "100", "--knn-k", "200"],
                 "k_nn must be < samples",
@@ -51,6 +53,8 @@ class TestUsageErrors:
             "attack-n",
             "attack-corrupt",
             "attack-seeds",
+            "attack-iters",
+            "attack-lr",
             "simulate-knn-k",
         ],
     )
@@ -61,6 +65,19 @@ class TestUsageErrors:
         assert message in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+    def test_analytic_only_flag_removed(self, tmp_path, capsys):
+        # `fedleak analytic` writes the closed forms
+        argv = ["--analytic-only", "--modes", "dfl_sa", "--n", "5", "--densities", "0.5"]
+        assert simulate(tmp_path, *argv) == EXIT_USAGE
+        assert "--analytic-only" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_old_manifest_analytic_only_key_ignored(self, tmp_path):
+        config = tmp_path / "old.txt"
+        config.write_text("analytic_only=true\nmodes=cfl\nn=4\ndensities=1.0\nsamples=100\n")
+        assert simulate(tmp_path, "--config", str(config)) == EXIT_OK
+        assert (tmp_path / "out" / "leakage_pairs.csv").is_file()
 
     def test_environment_does_not_set_options(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FEDLEAK_SAMPLES", "10")
@@ -93,8 +110,14 @@ class TestManifestRoundTrip:
                  "--iters", "20", "--seeds", "2", "--lr", "0.05", "--corrupt", "1"],
                 ["attack_ssim.svg", "recon/dfl_d0p7_node00.pgm"],
             ),
+            (
+                # more than six significant digits: the density is not rounded
+                ["simulate", "--n", "5", "--densities", "0.4444444", "--samples", "100",
+                 "--modes", "cfl,dfl"],
+                ["leakage_summary.csv", "graphs/graph_n5_d0p444444.txt"],
+            ),
         ],
-        ids=["simulate", "attack"],
+        ids=["simulate", "attack", "simulate-long-density"],
     )
     def test_manifest_reproduces_outputs(self, tmp_path, argv, expected):
         first, second = tmp_path / "first", tmp_path / "second"
