@@ -22,9 +22,8 @@ from .attack import (
 from .infotheory import (
     MIEstimate,
     SampleMatrix,
-    analytic_mi_cfl_sa,
-    analytic_mi_dfl_sa,
     gaussian_entropy,
+    gaussian_view_mi,
     knn_cmi,
     knn_mi,
 )
@@ -37,7 +36,7 @@ from .leakage import (
     run_experiment,
     verify_proposition1,
 )
-from .protocol import ALL_MODES, GradientVector, Mode, extract_observation
+from .protocol import ALL_MODES, GradientVector, Mode, extract_observation, view_matrix
 from .topology import (
     Graph,
     WeightMatrix,

@@ -15,6 +15,10 @@ sign-of-gradient descent (learning rate decays 10x at 50% and 75% of
 the iterations; a constant step would oscillate at the step size).
 Labels are treated as known: the attack reconstructs inputs only.
 
+The adversary attacks its one-round view, protocol.extract_observation
+of the per-node gradients, through each target's Gaussian conditional
+mean (see `attack_experiment`).
+
 The inversion is batched: `invert_gradient` takes a stack of observed
 gradients with one label and one dummy seed per row, and runs one
 descent loop on (rows x pixels) matrices; `attack_experiment` sends
@@ -38,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import GradientVector, Mode
+from .protocol import GradientVector, Mode, extract_observation, view_matrix
 from .topology import Graph, WeightMatrix, metropolis_weights
 
 __all__ = [
@@ -339,33 +343,6 @@ class AttackResult:
     average_ssim: float
 
 
-def _observed_for_target(
-    mode: Mode,
-    target: int,
-    grads: np.ndarray,
-    corrupt_node: int,
-    neighbor_set: set[int],
-    weight_row: np.ndarray | None,
-) -> np.ndarray:
-    n = grads.shape[0]
-    if mode is Mode.CFL:
-        return grads[target]
-    if mode is Mode.CFL_SA:
-        return grads.mean(axis=0)
-    if mode is Mode.DFL:
-        if target in neighbor_set:
-            return grads[target]
-        others = [j for j in range(n) if j != corrupt_node and j not in neighbor_set]
-        return grads[others].mean(axis=0)
-    # DFL_SA: neighbors are attacked through the gossip aggregate the
-    # adversary receives; non-neighbors through the average of all
-    # honest nodes' gradients.
-    if target in neighbor_set:
-        return weight_row @ grads
-    honest = [j for j in range(n) if j != corrupt_node]
-    return grads[honest].mean(axis=0)
-
-
 def attack_experiment(
     views: Sequence[tuple[Mode, Graph | None, WeightMatrix | None]],
     n: int = 10,
@@ -382,11 +359,15 @@ def attack_experiment(
     ``views`` is a sequence of (mode, graph, weights); decentralized
     modes need the graph, and weights default to its Metropolis weights.
     Each node holds one synthetic image; all per-node gradients are
-    taken at a shared random model. The observed quantity per target
-    follows the mode (exact gradient, global average, neighbor gradient
-    or non-neighbor average, gossip aggregate or honest average). Every
-    target of every view is inverted in one `invert_gradient` batch,
-    and one AttackResult is returned per view, in order.
+    taken at a shared random model. The adversary's observation is
+    protocol.extract_observation of those gradients, Y = G^T V in the
+    view matrix V (protocol.view_matrix), which drops its own gradient.
+    Target i is attacked through the Gaussian conditional mean of its
+    gradient given Y, Y (V^T V)^+ v_i: a shown gradient comes back as
+    itself, an aggregate as a positive multiple of itself, and a node
+    absent from the view as zero, which leaves its dummy unchanged.
+    Every target of every view is inverted in one `invert_gradient`
+    batch, and one AttackResult is returned per view, in order.
     Dataset, model and per-target dummy initializations derive from
     (seed, node) only, never from the mode or graph, so runs across
     modes are directly comparable. Deterministic per seed.
@@ -397,21 +378,6 @@ def attack_experiment(
         raise ValueError(f"corrupt node {corrupt_node} out of range")
     if not views:
         raise ValueError("need at least one view")
-    prepared = []
-    for mode, graph, weights in views:
-        neighbor_set, weight_row = set(), None
-        if mode.decentralized:
-            if graph is None:
-                raise ValueError(f"mode {mode.value} requires a graph")
-            if graph.n != n:
-                raise ValueError(f"graph has n={graph.n}, expected {n}")
-            neighbor_set = set(int(j) for j in graph.neighbors(corrupt_node))
-        if mode is Mode.DFL_SA:
-            if weights is None:
-                weights = metropolis_weights(graph)
-            weight_row = weights.row(corrupt_node)
-        prepared.append((mode, neighbor_set, weight_row))
-
     root = np.random.SeedSequence(entropy=(int(seed), 0x617474))
     data_ss, model_ss = root.spawn(2)
     images = make_blob_dataset(n, data_ss, height, width, classes)
@@ -422,30 +388,35 @@ def attack_experiment(
     )
     grads = np.stack([toy_gradient(model, img).values for img in images])
     nodes = [node for node in range(n) if node != corrupt_node]
-    observed = [
-        _observed_for_target(mode, node, grads, corrupt_node, neighbor_set, weight_row)
-        for mode, neighbor_set, weight_row in prepared
-        for node in nodes
-    ]
+    observed = []
+    for mode, graph, weights in views:
+        if weights is None and graph is not None:
+            weights = metropolis_weights(graph)
+        y, _ = extract_observation(mode, corrupt_node, grads.T, graph, weights)
+        v = view_matrix(mode, corrupt_node, n, graph, weights)
+        estimate = y.reshape(len(y), -1) @ np.linalg.pinv(v.T @ v)
+        observed += [estimate @ v[node] for node in nodes]
     recons = invert_gradient(
         np.stack(observed),
         model,
-        label=[images[node].label for node in nodes] * len(prepared),
+        label=[images[node].label for node in nodes] * len(views),
         iters=iters,
         lr=lr,
         seed=[
             np.random.SeedSequence(entropy=(int(seed), int(node)))
             for node in nodes
-        ] * len(prepared),
+        ] * len(views),
         image_shape=(height, width),
     )
 
     results = []
-    for idx, (mode, neighbor_set, _) in enumerate(prepared):
+    for idx, (mode, graph, _) in enumerate(views):
         targets = tuple(
             TargetReconstruction(
                 node=node,
-                is_neighbor=(node in neighbor_set) if mode.decentralized else None,
+                is_neighbor=bool(graph.adjacency[corrupt_node, node])
+                if mode.decentralized
+                else None,
                 ssim=ssim(recon, images[node]),
                 image=recon,
             )

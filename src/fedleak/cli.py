@@ -111,6 +111,19 @@ def _density_token(density: float) -> str:
     return f"{density:g}".replace(".", "p")
 
 
+def _check_density_tokens(densities) -> None:
+    """Usage error for two densities that would write the same file."""
+    seen: dict[str, float] = {}
+    for density in densities:
+        token = _density_token(density)
+        if token in seen:
+            raise UsageError(
+                f"--densities: {seen[token]!r} and {density!r} both name "
+                f"their output files d{token}"
+            )
+        seen[token] = density
+
+
 def _mode_values(modes) -> str:
     return ",".join(m.value for m in modes)
 
@@ -155,6 +168,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:  # an option value out of range
         raise UsageError(str(exc)) from exc
+    _check_density_tokens(densities)
     print(
         f"[simulate] {len(n_values)} node counts x {len(densities)} densities "
         f"x {len(modes)} modes, {samples} samples",
@@ -298,6 +312,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
         raise UsageError(f"--lr must be finite and > 0, got {lr!r}")
     if needs_topology and fixed_graph is None:
         _check_densities((n,), densities)
+    _check_density_tokens(densities)
 
     manifest = _manifest_base("attack", out_dir)
     manifest.update(
@@ -313,7 +328,10 @@ def cmd_attack(args: argparse.Namespace) -> int:
     if graph_file:
         manifest["graph_file"] = str(graph_file)
 
-    cells = []  # (mode, density, view) in output order
+    # A centralized view does not depend on the graph: one view per
+    # centralized mode serves every density.
+    cells = []  # (mode, density, view key) in output order
+    views = {}  # view key -> (mode, graph, weights)
     for density in densities:
         graph = weights = None
         if needs_topology:
@@ -325,20 +343,24 @@ def cmd_attack(args: argparse.Namespace) -> int:
             weights = metropolis_weights(graph)
         for mode in modes:
             view = (mode, graph, weights) if mode.decentralized else (mode, None, None)
-            cells.append((mode, density, view))
+            key = (mode, density) if mode.decentralized else (mode,)
+            views.setdefault(key, view)
+            cells.append((mode, density, key))
     ssims = [[] for _ in cells]
     details = [[] for _ in cells]
     for offset in range(n_seeds):
-        # one batched inversion per seed for every mode and density
+        # one batched inversion per seed for every distinct view
         results = attack_experiment(
-            [view for _, _, view in cells],
+            list(views.values()),
             n=n,
             seed=seed + offset,
             corrupt_node=corrupt,
             iters=iters,
             lr=lr,
         )
-        for idx, ((mode, density, _), result) in enumerate(zip(cells, results)):
+        by_view = dict(zip(views, results))
+        for idx, (mode, density, key) in enumerate(cells):
+            result = by_view[key]
             ssims[idx].append(result.average_ssim)
             details[idx].extend(
                 (mode.value, density, target.node, target.is_neighbor, target.ssim)
@@ -458,9 +480,9 @@ def cmd_analytic(args: argparse.Namespace) -> int:
     n_values = opts.get("n", (10, 20, 30, 40, 50), _parse_int_list)
     densities = opts.get("densities", (), _parse_float_list)
     out_dir = opts.get("out_dir", None, str)
-    small = [v for v in n_values if v < 3]
+    small = [v for v in n_values if v < 2]
     if small:
-        raise UsageError(f"--n: closed forms need n >= 3, got {small[0]}")
+        raise UsageError(f"--n: closed forms need n >= 2, got {small[0]}")
     _check_densities(n_values, densities)
 
     rows = []

@@ -2,10 +2,11 @@
 
 Two routes to the same quantity:
 
-* Closed-form Gaussian expressions for what an aggregate of i.i.d.
-  standard normal variables reveals about one summand. These are
-  entropy differences, h(sum) - h(sum | summand), in which the 2*pi*e
-  factor of the Gaussian entropy cancels.
+* One closed form for what a linear view V^T G of i.i.d. standard
+  normal variables G reveals about each of them: the Gaussian channel
+  formula (Cover and Thomas, Elements of Information Theory, ch. 9),
+  written with node i's leverage in the view. It serves every mode,
+  since every mode's view is linear (protocol.view_matrix).
 * The Kraskov-Stoegbauer-Grassberger (KSG) k-nearest-neighbor
   estimator (variant 1) under the max-norm, plus its Frenzel-Pompe
   conditional extension. Defaults (k=3, max-norm) match the common
@@ -24,14 +25,11 @@ import numpy as np
 from scipy.special import digamma
 from scipy.spatial import cKDTree
 
-from .topology import WeightMatrix
-
 __all__ = [
     "SampleMatrix",
     "MIEstimate",
     "gaussian_entropy",
-    "analytic_mi_cfl_sa",
-    "analytic_mi_dfl_sa",
+    "gaussian_view_mi",
     "knn_mi",
     "knn_cmi",
 ]
@@ -93,47 +91,26 @@ def gaussian_entropy(variance: float) -> float:
     return 0.5 * math.log(2.0 * math.pi * math.e * variance)
 
 
-def analytic_mi_cfl_sa(n: int) -> float:
-    """What the average of n i.i.d. standard normals reveals about one
-    of them, to an observer who already knows its own summand.
+def gaussian_view_mi(view) -> np.ndarray:
+    """I(V^T G; G_i) in nats for every node i, where G ~ N(0, I_n) and
+    view is V, an (n,) or (n, r) array whose row i is how G_i enters.
 
-    Equals I(sum of the n-1 remaining variables; one summand) =
-    0.5 * ln((n-1)/(n-2)) nats. Strictly decreasing in n and positive
-    for all n >= 3.
+    With h_i = v_i^T (V^T V)^+ v_i, node i's leverage in the view, the
+    Gaussian channel formula gives -0.5 * ln(1 - h_i): h_i is the share
+    of G_i's variance the view explains. A zero row (a node absent from
+    the view) gives 0; where 1 - h_i <= 1e-12 the view determines G_i
+    and the value is +inf. For the average of n variables minus one
+    known summand this is 0.5 * ln((n-1)/(n-2)); for a gossip aggregate
+    sum_j a_j G_j minus a known a_k G_k, 0.5 * ln(s / (s - a_i^2)) with
+    s = sum_{j != k} a_j^2.
     """
-    if n < 3:
-        raise ValueError(f"defined for n >= 3 (denominator n-2), got n={n}")
-    return 0.5 * math.log((n - 1) / (n - 2))
-
-
-def analytic_mi_dfl_sa(
-    w: WeightMatrix | np.ndarray,
-    corrupt: int,
-    target: int,
-) -> float:
-    """What a weighted gossip aggregate reveals about one target node.
-
-    For aggregate sum_j a[k,j] G_j observed by node k that knows its own
-    G_k, the information about G_i is
-
-        0.5 * ln(s / (s - a[k,i]^2)),   s = sum_j a[k,j]^2 - a[k,k]^2.
-
-    Returns 0 when a[k,i] = 0 (the target is absent from the aggregate)
-    and +inf when a[k,i]^2 exhausts s (the aggregate is determined by
-    G_i alone up to known terms, e.g. a corrupt leaf with its single
-    neighbor as target).
-    """
-    a = w.a if isinstance(w, WeightMatrix) else np.asarray(w, dtype=float)
-    if corrupt == target:
-        raise ValueError("target must differ from the corrupt node")
-    row = a[corrupt]
-    if row[target] == 0.0:
-        return 0.0
-    s = float(np.sum(row**2) - row[corrupt] ** 2)
-    denom = s - float(row[target] ** 2)
-    if denom <= s * 1e-12:
-        return math.inf
-    return 0.5 * math.log(s / denom)
+    v = np.asarray(view, dtype=float)
+    v = v.reshape(v.shape[0], -1)
+    leverage = np.einsum("ir,rs,is->i", v, np.linalg.pinv(v.T @ v), v)
+    mi = np.full(len(v), math.inf)
+    finite = 1.0 - leverage > 1e-12
+    mi[finite] = -0.5 * np.log1p(-leverage[finite])
+    return mi
 
 
 def _as_points(a: np.ndarray, name: str) -> np.ndarray:

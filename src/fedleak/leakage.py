@@ -25,6 +25,11 @@ estimator reports its finite value at the given sample count, never a
 symbolic infinity, so relative leakage depends on the pinned sample
 size. A mode's average divided by the CFL average gives the relative
 leakage that the topology/aggregation combination leaks per node.
+
+Beside the estimates stand the Gaussian closed forms of the same view:
+infotheory.gaussian_view_mi on protocol.view_matrix, one call per
+corrupt node. They are reported for the secure-aggregation modes, whose
+values are finite; for CFL and DFL they are +inf on every shown target.
 """
 
 from __future__ import annotations
@@ -41,11 +46,10 @@ from .infotheory import (
     SampleMatrix,
     _kth_neighbor_radius,
     _strict_counts,
-    analytic_mi_cfl_sa,
-    analytic_mi_dfl_sa,
+    gaussian_view_mi,
     knn_mi,
 )
-from .protocol import ALL_MODES, Mode, extract_observation
+from .protocol import ALL_MODES, Mode, extract_observation, view_matrix
 from .topology import (
     Graph,
     WeightMatrix,
@@ -131,8 +135,9 @@ class PairLeakage:
     """One (corrupt node, honest target) estimator evaluation.
 
     corrupt is -1 for CFL, whose per-target term does not involve a
-    corrupt-node index. mi_analytic is NaN where no closed form exists
-    (CFL / DFL involve the diverging self-information)."""
+    corrupt-node index. mi_analytic is the closed form for the
+    secure-aggregation modes and NaN for CFL / DFL, whose shown targets
+    have infinite self-information."""
 
     mode: Mode
     n: int
@@ -310,23 +315,21 @@ def estimate_mode_leakage(
 
 
 def _closed_forms(
-    mode: Mode, n: int, weights: WeightMatrix | None = None
+    mode: Mode, n: int, graph: Graph | None = None, weights: WeightMatrix | None = None
 ) -> tuple[dict[tuple[int, int], float], float]:
     """Closed-form leakage of every (corrupt k, target i) pair, k != i,
-    and its average over those pairs.
-
-    Only the secure-aggregation modes have closed forms: CFL_SA from
-    n = 3 on, DFL_SA given its weight matrix. Otherwise the table is
-    empty and the average NaN.
+    and its average over those pairs: gaussian_view_mi of each corrupt
+    node's view_matrix. Only the secure-aggregation modes get a table,
+    DFL_SA given its graph and weights (CFL and DFL would give +inf on
+    every shown target). Otherwise the table is empty and the average NaN.
     """
-    pairs = [(k, i) for k in range(n) for i in range(n) if i != k]
-    if mode is Mode.CFL_SA and n >= 3:
-        value = analytic_mi_cfl_sa(n)
-        return dict.fromkeys(pairs, value), value
-    if mode is Mode.DFL_SA and weights is not None:
-        table = {(k, i): analytic_mi_dfl_sa(weights, k, i) for k, i in pairs}
-        return table, float(np.mean(list(table.values())))
-    return {}, math.nan
+    if not mode.secure_aggregation or (mode.decentralized and weights is None):
+        return {}, math.nan
+    table = {}
+    for k in range(n):
+        mi = gaussian_view_mi(view_matrix(mode, k, n, graph, weights))
+        table.update(((k, i), float(mi[i])) for i in range(n) if i != k)
+    return table, float(np.mean(list(table.values())))
 
 
 def cell_seed_sequences(seed: int, n: int, density: float):
@@ -352,14 +355,14 @@ def analytic_cell_average(
     run_experiment derives it, so analytic values line up with
     estimated cells. Raises ValueError where no closed form exists.
     """
-    weights = None
+    graph = weights = None
     actual_density = math.nan
     if mode is Mode.DFL_SA:
         _, graph_seed, _ = cell_seed_sequences(seed, n, density)
         graph = generate_graph(n, density, graph_seed)
         weights = metropolis_weights(graph)
         actual_density = graph_density(graph)
-    _, average = _closed_forms(mode, n, weights)
+    _, average = _closed_forms(mode, n, graph, weights)
     if math.isnan(average):
         raise ValueError(f"no closed form for mode {mode.value} at n={n}")
     return average, actual_density
@@ -405,7 +408,7 @@ def run_experiment(config: ExperimentConfig) -> LeakageReport:
                     corrupt_nodes=corrupt_nodes,
                 )
                 averages[mode] = result.average
-                closed, analytic[mode] = _closed_forms(mode, n, w)
+                closed, analytic[mode] = _closed_forms(mode, n, graph, w)
                 for corrupt, target, value in result.pairs:
                     report.pairs.append(
                         PairLeakage(

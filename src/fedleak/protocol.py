@@ -14,8 +14,15 @@ A passive adversary sitting at node k receives, depending on the mode:
 Secure aggregation is modeled at the observation level (what reaches
 the adversary), not cryptographically. The adversary always knows its
 own gradient g_k, so extract_observation returns the view with that
-known term dropped; it is the one definition of what the adversary
-sees, and leakage estimates run on exactly what it returns.
+known term dropped. It is the one definition of what the adversary
+sees: the leakage estimator, the closed forms and the attack all read
+it.
+
+Every view is linear in the gradients, g -> g @ V for an (n, r) matrix
+V whose row j says how node j's gradient enters the view. view_matrix
+returns V as the view of the identity, g = I_n. On the identity each
+mode's arithmetic is exact (sums of zeros and ones, or one weight plus
+zeros), so V needs no second per-mode definition.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ __all__ = [
     "ALL_MODES",
     "GradientVector",
     "extract_observation",
+    "view_matrix",
 ]
 
 
@@ -128,3 +136,19 @@ def extract_observation(
     if len(nbrs) == 0:
         raise ValueError(f"dfl: corrupt node {k} has no neighbors, so it observes nothing")
     return g[:, nbrs], frozenset(nbrs.tolist())
+
+
+def view_matrix(
+    mode: Mode,
+    corrupt_node: int,
+    n: int,
+    graph: Graph | None = None,
+    weights: WeightMatrix | None = None,
+) -> np.ndarray:
+    """Corrupt node k's view as an (n, r) matrix V: the view of the
+    identity. extract_observation(mode, k, g)[0] is g @ V, exactly for
+    CFL and DFL and up to rounding for the secure-aggregation modes.
+    Row k is zero in every mode but CFL, since k's own term is dropped.
+    """
+    observed, _ = extract_observation(mode, corrupt_node, np.eye(n), graph, weights)
+    return observed.reshape(n, -1)

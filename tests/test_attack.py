@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fedleak import attack
 from fedleak.attack import (
     ToyImage,
     ToyModel,
@@ -387,3 +388,82 @@ class TestAttackExperiment:
     def test_minimum_network_size(self):
         with pytest.raises(ValueError, match="n >= 3"):
             attack_experiment([(Mode.CFL, None, None)], n=2, seed=0)
+
+
+class TestOneRoundView:
+    """The attack runs on what the adversary receives in one round."""
+
+    N, SEED, CORRUPT = 8, 3, 1
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        """One run of every mode, with the gradients and observations
+        that attack_experiment built."""
+        _, graph_seed, _ = cell_seed_sequences(self.SEED, self.N, 0.4)
+        graph = generate_graph(self.N, 0.4, graph_seed)
+        weights = metropolis_weights(graph)
+        views = [
+            (Mode.CFL_SA, None, None),
+            (Mode.DFL, graph, weights),
+            (Mode.DFL_SA, graph, weights),
+        ]
+        seen = {}
+        with pytest.MonkeyPatch.context() as mp:
+            real_gradient, real_invert = attack.toy_gradient, attack.invert_gradient
+
+            def gradient_spy(model, img):
+                grad = real_gradient(model, img)
+                seen.setdefault("grads", []).append(grad.values)
+                return grad
+
+            def invert_spy(observed, *args, **kwargs):
+                seen["observed"] = observed
+                return real_invert(observed, *args, **kwargs)
+
+            mp.setattr(attack, "toy_gradient", gradient_spy)
+            mp.setattr(attack, "invert_gradient", invert_spy)
+            results = attack_experiment(
+                views, n=self.N, seed=self.SEED, corrupt_node=self.CORRUPT, iters=60
+            )
+        grads = np.stack(seen["grads"])
+        rows = self.N - 1
+        observed = {
+            mode: seen["observed"][idx * rows:(idx + 1) * rows]
+            for idx, (mode, _, _) in enumerate(views)
+        }
+        return graph, weights, grads, observed, dict(zip((v[0] for v in views), results))
+
+    @pytest.mark.parametrize("mode", [Mode.DFL, Mode.DFL_SA])
+    def test_non_neighbor_returns_its_dummy(self, run, mode):
+        graph, _, _, _, results = run
+        far = [t for t in results[mode].targets if not t.is_neighbor]
+        assert far  # the graph leaves some node out of the corrupt node's view
+        for t in far:
+            start = dummy(np.random.SeedSequence(entropy=(self.SEED, t.node)))
+            assert np.array_equal(t.image.pixels.ravel(), start), t.node
+            assert not graph.adjacency[self.CORRUPT, t.node]
+
+    @pytest.mark.parametrize("mode", [Mode.CFL_SA, Mode.DFL_SA])
+    def test_sa_observation_is_the_aggregate_without_own_gradient(self, run, mode):
+        _, weights, grads, observed, _ = run
+        k = self.CORRUPT
+        a = np.ones(self.N) if mode is Mode.CFL_SA else weights.row(k)
+        reduced = a @ grads - a[k] * grads[k]
+        nodes = [i for i in range(self.N) if i != k]
+        for i, obs in zip(nodes, observed[mode]):
+            if a[i] == 0.0:
+                assert not np.any(obs)
+                continue
+            scale = (obs @ reduced) / (reduced @ reduced)
+            assert scale > 0.0
+            np.testing.assert_allclose(obs, scale * reduced, rtol=1e-12, atol=1e-15)
+            # the aggregate that still holds g_k is not what is attacked
+            full = a @ grads
+            assert np.abs(obs / np.linalg.norm(obs) - full / np.linalg.norm(full)).max() > 1e-3
+
+    def test_dfl_neighbor_observation_is_its_gradient(self, run):
+        graph, _, grads, observed, _ = run
+        nodes = [i for i in range(self.N) if i != self.CORRUPT]
+        for i, obs in zip(nodes, observed[Mode.DFL]):
+            expected = grads[i] if graph.adjacency[self.CORRUPT, i] else np.zeros_like(obs)
+            assert np.array_equal(obs, expected), i

@@ -1,5 +1,6 @@
 import pytest
 
+from fedleak import attack
 from fedleak.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, main
 from fedleak.reporting import read_csv, write_csv
 
@@ -46,6 +47,20 @@ class TestUsageErrors:
                 ["simulate", "--n", "4", "--samples", "100", "--knn-k", "200"],
                 "k_nn must be < samples",
             ),
+            (
+                ["simulate", "--n", "5", "--densities", "0.4444444,0.4444441",
+                 "--samples", "100", "--modes", "cfl,dfl"],
+                "--densities: 0.4444444 and 0.4444441 both name their output files d0p444444",
+            ),
+            (
+                ["attack", "--n", "5", "--densities", "0.4444444,0.4444441",
+                 "--modes", "dfl", "--iters", "10"],
+                "--densities: 0.4444444 and 0.4444441 both name their output files d0p444444",
+            ),
+            (
+                ["attack", "--n", "5", "--densities", "0.8,0.8", "--iters", "10"],
+                "--densities: 0.8 and 0.8 both name their output files d0p8",
+            ),
         ],
         ids=[
             "analytic-density",
@@ -56,6 +71,9 @@ class TestUsageErrors:
             "attack-iters",
             "attack-lr",
             "simulate-knn-k",
+            "simulate-density-token",
+            "attack-density-token",
+            "attack-repeated-density",
         ],
     )
     def test_bad_option_exits_before_any_work(self, tmp_path, capsys, argv, message):
@@ -94,6 +112,41 @@ class TestSimulateOutputs:
         assert (out / "leakage_summary.csv").is_file()
         assert not (out / "leakage_relative.svg").exists()
         assert "output_svg" not in (out / "manifest.txt").read_text()
+
+
+class TestAttackOutputs:
+    def test_centralized_views_inverted_once(self, tmp_path, monkeypatch):
+        # cfl and cfl_sa do not depend on the graph: one inversion per
+        # target serves every density, and every density gets its rows
+        n = 5
+        batches = []
+        real = attack.invert_gradient
+
+        def spy(observed, *args, **kwargs):
+            batches.append(len(observed))
+            return real(observed, *args, **kwargs)
+
+        monkeypatch.setattr(attack, "invert_gradient", spy)
+        out = tmp_path / "out"
+        argv = ["attack", "--n", str(n), "--modes", "cfl,cfl_sa", "--densities", "0.4,0.8",
+                "--iters", "30", "--out-dir", str(out)]
+        assert main(argv) == EXIT_OK
+        assert batches == [2 * (n - 1)]
+        _, rows, _ = read_csv(out / "attack_ssim.csv")
+        by_density = {}
+        for row in rows:
+            by_density.setdefault(row["density"], []).append(
+                (row["mode"], row["node"], row["neighbor_flag"], row["ssim"])
+            )
+        assert list(by_density) == ["0.4", "0.8"]
+        assert by_density["0.4"] == by_density["0.8"]
+        assert len(by_density["0.4"]) == 2 * (n - 1)
+        for mode in ("cfl", "cfl_sa"):
+            for node in range(1, n):
+                name = f"{mode}_d{{}}_node{node:02d}.pgm"
+                assert (out / "recon" / name.format("0p4")).read_bytes() == (
+                    out / "recon" / name.format("0p8")
+                ).read_bytes()
 
 
 class TestManifestRoundTrip:

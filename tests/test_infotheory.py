@@ -7,12 +7,12 @@ from hypothesis import given, settings, strategies as st
 from fedleak.infotheory import (
     MIEstimate,
     SampleMatrix,
-    analytic_mi_cfl_sa,
-    analytic_mi_dfl_sa,
     gaussian_entropy,
+    gaussian_view_mi,
     knn_cmi,
     knn_mi,
 )
+from fedleak.protocol import Mode, view_matrix
 from fedleak.topology import Graph, generate_graph, metropolis_weights
 
 
@@ -37,29 +37,54 @@ class TestGaussianEntropy:
             gaussian_entropy(bad)
 
 
+def closed_form(mode, k, n, graph=None, weights=None):
+    """gaussian_view_mi of corrupt node k's view: one value per node."""
+    return gaussian_view_mi(view_matrix(mode, k, n, graph, weights))
+
+
+def cfl_sa(n, k=0):
+    """The CFL_SA value, equal for every target; checks it is."""
+    values = np.delete(closed_form(Mode.CFL_SA, k, n), k)
+    assert np.all(values == values[0])
+    return float(values[0])
+
+
+def hand_dfl_sa(weights, k, i):
+    """0.5 * ln(s / (s - a[k,i]^2)) with s = sum_{j != k} a[k,j]^2."""
+    row = weights.row(k)
+    s = float(np.sum(row**2) - row[k] ** 2)
+    return math.inf if s - row[i] ** 2 <= s * 1e-12 else 0.5 * math.log(s / (s - row[i] ** 2))
+
+
 class TestAnalyticAverageLeakage:
     def test_ten_nodes_frozen_value(self):
         # 0.5 * ln(9/8)
-        assert analytic_mi_cfl_sa(10) == pytest.approx(0.0588915178, abs=1e-9)
+        assert cfl_sa(10) == pytest.approx(0.0588915178, abs=1e-9)
 
     def test_three_nodes_half_log_two(self):
-        assert analytic_mi_cfl_sa(3) == pytest.approx(0.5 * math.log(2.0), abs=1e-12)
+        assert cfl_sa(3) == pytest.approx(0.5 * math.log(2.0), abs=1e-12)
 
     def test_strictly_decreasing_and_positive(self):
-        values = [analytic_mi_cfl_sa(n) for n in range(3, 200)]
+        values = [cfl_sa(n) for n in range(3, 200)]
         assert all(v > 0 for v in values)
         assert all(a > b for a, b in zip(values, values[1:]))
 
-    def test_small_n_rejected(self):
-        with pytest.raises(ValueError):
-            analytic_mi_cfl_sa(2)
+    @pytest.mark.parametrize("n", [3, 4, 10, 57, 199])
+    def test_matches_hand_formula(self, n):
+        expected = 0.5 * math.log((n - 1) / (n - 2))
+        for k in (0, n - 1):
+            assert cfl_sa(n, k) == pytest.approx(expected, rel=1e-13)
+
+    def test_two_nodes_diverge(self):
+        # the sum of the others is the other node's gradient itself
+        assert list(closed_form(Mode.CFL_SA, 0, 2)) == [0.0, math.inf]
 
     def test_matches_estimator_on_fresh_draws(self):
         # large-sample estimator run on direct draws of the two variables
         rng = np.random.default_rng(42)
         g = rng.standard_normal((100_000, 10))
         est = knn_mi(g[:, 1:].sum(axis=1), g[:, 1], k=3)
-        assert est.value == pytest.approx(analytic_mi_cfl_sa(10), abs=0.005)
+        assert est.value == pytest.approx(cfl_sa(10), abs=0.005)
 
 
 class TestAnalyticAggregateLeakage:
@@ -67,29 +92,32 @@ class TestAnalyticAggregateLeakage:
         g = generate_graph(8, 0.4, seed=2)
         w = metropolis_weights(g)
         for k in range(8):
+            mi = closed_form(Mode.DFL_SA, k, 8, g, w)
             for i in range(8):
                 if i != k and not g.adjacency[k, i]:
-                    assert analytic_mi_dfl_sa(w, k, i) == 0.0
+                    assert mi[i] == 0.0
 
     @pytest.mark.parametrize("n", [3, 5, 10, 25])
     def test_complete_graph_equals_average_case(self, n):
         g = generate_graph(n, 1.0, seed=0)
         w = metropolis_weights(g)
+        mi = closed_form(Mode.DFL_SA, 0, n, g, w)
         for i in range(1, n):
-            assert analytic_mi_dfl_sa(w, 0, i) == pytest.approx(
-                analytic_mi_cfl_sa(n), abs=1e-12
-            )
+            assert mi[i] == pytest.approx(cfl_sa(n), abs=1e-12)
 
     def test_corrupt_leaf_with_single_neighbor_diverges(self):
         star = Graph(n=5, edges=((0, 1), (0, 2), (0, 3), (0, 4)))
         w = metropolis_weights(star)
         # leaf node 3 observes a*G_0 + known own term: hub fully exposed
-        assert analytic_mi_dfl_sa(w, 3, 0) == math.inf
+        assert list(closed_form(Mode.DFL_SA, 3, 5, star, w)) == [math.inf, 0, 0, 0, 0]
 
-    def test_same_node_rejected(self):
-        w = metropolis_weights(generate_graph(4, 1.0, seed=0))
-        with pytest.raises(ValueError):
-            analytic_mi_dfl_sa(w, 2, 2)
+    def test_corrupt_node_own_entry_is_zero(self):
+        # k's own gradient is dropped from its view, so its row is zero
+        g = generate_graph(6, 0.6, seed=1)
+        w = metropolis_weights(g)
+        for mode in (Mode.CFL_SA, Mode.DFL, Mode.DFL_SA):
+            for k in range(6):
+                assert closed_form(mode, k, 6, g, w)[k] == 0.0
 
     @pytest.mark.parametrize("seed", range(5))
     def test_average_dominates_complete_graph_value(self, seed):
@@ -101,12 +129,56 @@ class TestAnalyticAggregateLeakage:
         assert g.m < n * (n - 1) // 2
         w = metropolis_weights(g)
         values = [
-            analytic_mi_dfl_sa(w, k, i)
-            for k in range(n)
-            for i in range(n)
-            if i != k
+            np.delete(closed_form(Mode.DFL_SA, k, n, g, w), k) for k in range(n)
         ]
-        assert np.mean(values) > analytic_mi_cfl_sa(n)
+        assert np.mean(values) > cfl_sa(n)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_hand_formula_on_random_metropolis_graphs(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 31))
+        density = float(rng.uniform(2.0 / n, 1.0))
+        g = generate_graph(n, density, seed=seed)
+        w = metropolis_weights(g)
+        for k in range(n):
+            mi = closed_form(Mode.DFL_SA, k, n, g, w)
+            for i in range(n):
+                if i == k:
+                    continue
+                expected = hand_dfl_sa(w, k, i)
+                if math.isinf(expected):
+                    assert mi[i] == math.inf
+                else:
+                    assert mi[i] == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+class TestGaussianViewMi:
+    def test_dfl_neighbors_diverge_and_others_leak_nothing(self):
+        g = generate_graph(10, 0.3, seed=4)
+        for k in range(10):
+            mi = closed_form(Mode.DFL, k, 10, g)
+            for i in range(10):
+                if i != k:
+                    assert mi[i] == (math.inf if g.adjacency[k, i] else 0.0)
+
+    def test_cfl_diverges_for_every_node(self):
+        assert np.all(closed_form(Mode.CFL, -1, 7) == math.inf)
+
+    def test_matches_log_det_ratio(self):
+        # For a full-column-rank view, I(V^T G; G_i) is the entropy
+        # difference 0.5 * ln(det(V^T V) / det(V^T V - v_i v_i^T)).
+        v = np.random.default_rng(5).standard_normal((6, 3))
+        gram = v.T @ v
+        expected = [
+            0.5 * math.log(np.linalg.det(gram) / np.linalg.det(gram - np.outer(row, row)))
+            for row in v
+        ]
+        assert gaussian_view_mi(v) == pytest.approx(expected, rel=1e-10)
+
+    def test_one_dimensional_view(self):
+        # a view (n,) is the column (n, 1)
+        a = np.array([0.0, 0.5, 0.25, 0.25])
+        assert np.array_equal(gaussian_view_mi(a), gaussian_view_mi(a[:, None]))
 
 
 class TestSampleMatrix:

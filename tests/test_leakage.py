@@ -5,7 +5,7 @@ import pytest
 from scipy.special import ndtri
 
 from fedleak import leakage
-from fedleak.infotheory import analytic_mi_cfl_sa, analytic_mi_dfl_sa, knn_cmi, knn_mi
+from fedleak.infotheory import knn_cmi, knn_mi
 from fedleak.leakage import (
     CellSummary,
     ExperimentConfig,
@@ -18,6 +18,17 @@ from fedleak.leakage import (
 )
 from fedleak.protocol import ALL_MODES, Mode
 from fedleak.topology import Graph, generate_graph, graph_density, metropolis_weights
+
+
+def cfl_sa_closed_form(n):
+    return 0.5 * math.log((n - 1) / (n - 2))
+
+
+def dfl_sa_closed_form(weights, k, i):
+    """0.5 * ln(s / (s - a[k,i]^2)) with s = sum_{j != k} a[k,j]^2."""
+    row = weights.row(k)
+    s = float(np.sum(row**2) - row[k] ** 2)
+    return 0.5 * math.log(s / (s - row[i] ** 2))
 
 
 class TestConfigValidation:
@@ -100,7 +111,7 @@ class TestEstimateModeLeakage:
         samples = draw_gradient_samples(10, 1000, seed=5)
         result = estimate_mode_leakage(Mode.CFL_SA, samples)
         assert len(result.pairs) == 90
-        assert result.average == pytest.approx(analytic_mi_cfl_sa(10), abs=0.01)
+        assert result.average == pytest.approx(cfl_sa_closed_form(10), abs=0.01)
 
     def test_dfl_sa_non_neighbor_pairs_near_zero(self, small_cell):
         n, samples, graph, weights = small_cell
@@ -114,7 +125,7 @@ class TestEstimateModeLeakage:
         rng = np.random.default_rng(0)
         null = []
         for corrupt, target, _ in far:
-            assert analytic_mi_dfl_sa(weights, corrupt, target) == 0.0
+            assert dfl_sa_closed_form(weights, corrupt, target) == 0.0
             row = weights.row(corrupt)
             reduced = samples.data @ row - row[corrupt] * samples.column(corrupt)
             for _ in range(2):
@@ -210,11 +221,11 @@ class TestEstimateModeLeakage:
         weights = metropolis_weights(graph)
         samples = draw_gradient_samples(n, 10_000, seed=17)
         cfl_sa = estimate_mode_leakage(Mode.CFL_SA, samples)
-        assert cfl_sa.average == pytest.approx(analytic_mi_cfl_sa(n), abs=0.02)
+        assert cfl_sa.average == pytest.approx(cfl_sa_closed_form(n), abs=0.02)
         dfl_sa = estimate_mode_leakage(Mode.DFL_SA, samples, graph=graph, weights=weights)
         expected = np.mean(
             [
-                analytic_mi_dfl_sa(weights, k, i)
+                dfl_sa_closed_form(weights, k, i)
                 for k in range(n)
                 for i in range(n)
                 if i != k
@@ -348,10 +359,10 @@ class TestPairAnalytics:
         weights = metropolis_weights(report.graphs[(6, 0.8)])
         for pair in report.pairs:
             if pair.mode is Mode.CFL_SA:
-                assert pair.mi_analytic == pytest.approx(analytic_mi_cfl_sa(6))
+                assert pair.mi_analytic == pytest.approx(cfl_sa_closed_form(6), rel=1e-13)
             elif pair.mode is Mode.DFL_SA:
                 assert pair.mi_analytic == pytest.approx(
-                    analytic_mi_dfl_sa(weights, pair.corrupt, pair.target)
+                    dfl_sa_closed_form(weights, pair.corrupt, pair.target), rel=1e-13
                 )
             else:
                 assert math.isnan(pair.mi_analytic)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fedleak.protocol import ALL_MODES, Mode, extract_observation
+from fedleak.protocol import ALL_MODES, Mode, extract_observation, view_matrix
 from fedleak.topology import Graph, generate_graph, metropolis_weights
 
 
@@ -111,3 +111,44 @@ class TestExtractObservation:
             b, seen_b = extract_observation(mode, 4, g, graph=graph, weights=w)
             assert np.array_equal(a, b)
             assert set(seen_a) == set(seen_b)
+
+
+class TestViewMatrix:
+    """Every view is linear: extract_observation(mode, k, g) is g @ V."""
+
+    @pytest.fixture(scope="class")
+    def cell(self):
+        graph = generate_graph(9, 0.4, seed=5)
+        g = np.random.default_rng(6).standard_normal((50, 9))
+        return graph, metropolis_weights(graph), g
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_observation_is_g_times_view(self, cell, mode):
+        graph, w, g = cell
+        for k in range(9):
+            observed, _ = extract_observation(mode, k, g, graph=graph, weights=w)
+            v = view_matrix(mode, k, 9, graph=graph, weights=w)
+            linear = (g @ v).reshape(observed.shape)
+            # relative to the gradients' scale: an aggregate may cancel
+            np.testing.assert_allclose(observed, linear, rtol=1e-12, atol=1e-12 * np.abs(g).max())
+            if mode in (Mode.CFL, Mode.DFL):
+                assert np.array_equal(observed, linear)
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_own_row_is_zero_except_cfl(self, cell, mode):
+        graph, w, _ = cell
+        for k in range(9):
+            v = view_matrix(mode, k, 9, graph=graph, weights=w)
+            assert v.shape[0] == 9
+            assert np.any(v[k]) == (mode is Mode.CFL)
+
+    def test_per_mode_matrices(self, cell):
+        graph, w, _ = cell
+        k = 2
+        nbrs = graph.neighbors(k)
+        assert np.array_equal(view_matrix(Mode.CFL, k, 9), np.eye(9))
+        assert np.array_equal(view_matrix(Mode.CFL_SA, k, 9)[:, 0], 1.0 - np.eye(9)[k])
+        assert np.array_equal(view_matrix(Mode.DFL, k, 9, graph=graph), np.eye(9)[:, nbrs])
+        row = w.row(k).copy()
+        row[k] = 0.0
+        assert np.array_equal(view_matrix(Mode.DFL_SA, k, 9, graph=graph, weights=w)[:, 0], row)
