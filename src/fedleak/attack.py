@@ -226,8 +226,10 @@ def invert_gradient(
         dummy unchanged;
       - a row whose own gradient vanishes (a saturated prediction) stops
         there for good, while the other rows go on;
-      - a non-finite cosine on any running row raises RuntimeError.
-    So a row's result does not depend on what else is in its batch. A
+      - a non-finite cosine on any running row raises RuntimeError,
+        naming the row's index in ``observed``.
+    Stopped rows leave the descent, so they cost nothing after they
+    stop. So a row's result does not depend on what else is in its batch. A
     step moves each pixel by exactly -step, 0 or +step before the clamp,
     so the batch's matrix products, whose rounding may differ from a
     batch of one, could change a result only through a sign of a
@@ -257,40 +259,54 @@ def invert_gradient(
         raise ValueError(f"gradient dim {obs.shape[1]} != model dim {model.dim}")
     obs_norm = np.linalg.norm(obs, axis=1)
     x = np.stack([np.random.default_rng(s).uniform(0.0, 1.0, model.n_pixels) for s in seeds])
-    live = obs_norm != 0.0  # a zero observation keeps its dummy
-    obs_hat = obs / np.where(live, obs_norm, 1.0)[:, None]
 
+    # Only the running rows descend, compacted into their own arrays: a
+    # zero observation keeps its dummy from the start, and a saturated
+    # row leaves the batch at the step its gradient vanishes. Their
+    # pixels are written back to x in row order.
+    running = np.flatnonzero(obs_norm != 0.0)
+    x_run = x[running]
+    run_labels = labels[running]
+    obs_hat = obs[running] / obs_norm[running, None]
     w = model.w
     cut = w.size
-    every = np.arange(rows)
     for it in range(iters):
-        if not live.any():
+        if not running.size:
             break
         step = lr * (0.1 ** ((it >= iters // 2) + (it >= 3 * iters // 4)))
-        p = _softmax(x @ w.T + model.b)
+        p = _softmax(x_run @ w.T + model.b)
         a = p.copy()
-        a[every, labels] -= 1.0
-        g = np.concatenate([(a[:, :, None] * x[:, None, :]).reshape(rows, cut), a], axis=1)
+        a[np.arange(len(running)), run_labels] -= 1.0
+        g = np.concatenate(
+            [(a[:, :, None] * x_run[:, None, :]).reshape(len(running), cut), a], axis=1
+        )
         g_norm = np.linalg.norm(g, axis=1)
-        live &= g_norm != 0.0  # saturated prediction: no gradient signal left
-        g_norm = np.where(live, g_norm, 1.0)
+        if not g_norm.all():  # saturated prediction: no gradient signal left
+            keep = g_norm != 0.0
+            x[running[~keep]] = x_run[~keep]
+            running, x_run, run_labels, obs_hat, p, a, g, g_norm = (
+                v[keep] for v in (running, x_run, run_labels, obs_hat, p, a, g, g_norm)
+            )
+            if not running.size:
+                break
         g_hat = g / g_norm[:, None]
         cos = np.einsum("rd,rd->r", g_hat, obs_hat)
-        bad = live & ~np.isfinite(cos)
+        bad = ~np.isfinite(cos)
         if bad.any():
             raise RuntimeError(
                 f"gradient matching diverged at iteration {it}: "
-                f"cosine={cos[bad][0]} (row {np.flatnonzero(bad)[0]})"
+                f"cosine={cos[bad][0]} (row {running[bad][0]})"
             )
         # d(1 - cos)/dx via the chain rule through g(x); S is the
         # softmax Jacobian diag(p) - p p^T.
         v = -(obs_hat - cos[:, None] * g_hat) / g_norm[:, None]
-        v_w = v[:, :cut].reshape(rows, *w.shape)
+        v_w = v[:, :cut].reshape(len(running), *w.shape)
         v_b = v[:, cut:]
-        u = np.einsum("rcq,rq->rc", v_w, x) + v_b
+        u = np.einsum("rcq,rq->rc", v_w, x_run) + v_b
         s_u = p * u - p * np.einsum("rc,rc->r", p, u)[:, None]
         grad_x = s_u @ w + np.einsum("rcq,rc->rq", v_w, a)
-        x = np.where(live[:, None], np.clip(x - step * np.sign(grad_x), 0.0, 1.0), x)
+        x_run = np.clip(x_run - step * np.sign(grad_x), 0.0, 1.0)
+    x[running] = x_run
     images = tuple(
         ToyImage(pixels=x[r].reshape(image_shape), label=int(labels[r]))
         for r in range(rows)

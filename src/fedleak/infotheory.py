@@ -14,6 +14,18 @@ Two routes to the same quantity:
 
 All values are in nats. The estimators are deterministic: no jitter is
 added, strict-inequality neighbor counting handles ties.
+
+Every KSG estimate counts neighbors through one core, _strict_counts:
+a point j counts for query p at radius r when fl(|x_j - p|) <=
+nextafter(r, 0) in every coordinate, the distance as computed in
+floating point. One-column points are counted on a sorted copy of the
+column, any other on a kd-tree; both apply that same rule, so either
+gives the same counts. Every kd-tree query is split over all CPUs
+(workers=-1). On one thread the queries take less CPU time, but the
+sweeps' wall time then no longer follows the two-CPU reference kernel
+that perfbench scales it by (perfbench/workloads.py, Workload.parallel),
+and the scaled figures of repeated `sweep` runs spread about ten
+times as wide (BENCH_sweep.json, sweep_steadiness_seed0).
 """
 
 from __future__ import annotations
@@ -141,20 +153,67 @@ def _kth_neighbor_radius(joint: np.ndarray, k: int) -> np.ndarray:
     return dist[:, -1]
 
 
+def _count_index(points: np.ndarray) -> np.ndarray | cKDTree:
+    """What _strict_counts searches: the sorted column of one-column
+    points, a kd-tree over any other."""
+    return np.sort(points[:, 0]) if points.shape[1] == 1 else cKDTree(points)
+
+
+def _window_counts(column: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """For each center p with radius r, the entries s_j of the sorted
+    column with fl(|s_j - p|) <= r.
+
+    Rounding is monotone, so for a fixed p fl(|s_j - p|) does not
+    decrease as s_j moves away from p: the counted entries form one
+    window of the column around p. np.searchsorted on p - r and p + r
+    finds it up to the rounding of those two sums; each end then moves,
+    one block of tied entries at a time, until the entry just outside
+    the window fails the exact check and the entry at its edge passes.
+    """
+    lo = np.searchsorted(column, centers - radii, side="left")
+    hi = np.searchsorted(column, centers + radii, side="right")
+    # (window end, offset of the entry it tests, searchsorted side that
+    # steps past that entry's ties, whether the end moves when the
+    # entry is within the radius or when it is not)
+    for end, offset, side, moves_if_within in (
+        (lo, -1, "left", True),
+        (lo, 0, "right", False),
+        (hi, 0, "right", True),
+        (hi, -1, "left", False),
+    ):
+        todo = np.arange(len(centers))
+        while todo.size:
+            j = end[todo] + offset
+            inside = (j >= 0) & (j < len(column))
+            todo, j = todo[inside], j[inside]
+            moves = (np.abs(column[j] - centers[todo]) <= radii[todo]) == moves_if_within
+            todo, j = todo[moves], j[moves]
+            end[todo] = np.searchsorted(column, column[j], side=side)
+    return hi - lo
+
+
 def _strict_counts(
-    points: np.ndarray, radii: np.ndarray, tree: cKDTree | None = None
+    points: np.ndarray, radii: np.ndarray, index: np.ndarray | cKDTree | None = None
 ) -> np.ndarray:
     """Points strictly inside each radius, the query point included.
 
-    Shrinking the radius by one ulp turns the tree's closed-ball count
-    into a strict one, so the count equals n_marginal + 1 exactly as the
-    estimator needs. Pass a prebuilt tree over the same points to skip
-    the construction cost.
+    Shrinking each radius by one ulp turns the closed-ball count
+    fl(max-norm distance) <= r into a strict one, so the count equals
+    n_marginal + 1 exactly as the estimator needs; a zero radius counts
+    the exact duplicates of the query point. index is _count_index of
+    the same points, built here when not passed. One-column points are
+    counted in windows of their sorted column (_window_counts): since
+    rounding is monotone the counted points are contiguous there, so
+    the window count is exact. Others are counted on a kd-tree queried
+    on all CPUs (workers=-1).
     """
-    if tree is None:
-        tree = cKDTree(points)
-    return tree.query_ball_point(
-        points, np.nextafter(radii, 0.0), p=np.inf, return_length=True, workers=-1
+    if index is None:
+        index = _count_index(points)
+    strict = np.nextafter(radii, 0.0)
+    if isinstance(index, np.ndarray):
+        return _window_counts(index, points[:, 0], strict)
+    return index.query_ball_point(
+        points, strict, p=np.inf, return_length=True, workers=-1
     )
 
 

@@ -39,11 +39,11 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 from scipy.special import digamma
 
 from .infotheory import (
     SampleMatrix,
+    _count_index,
     _kth_neighbor_radius,
     _strict_counts,
     gaussian_view_mi,
@@ -76,8 +76,16 @@ __all__ = [
     "cell_seed_sequences",
 ]
 
-# Multi-column observations up to this many samples are counted on an
-# N x N max-norm distance matrix; beyond it, on kd-trees.
+# Multi-column observations (DFL's neighbor gradients) up to this many
+# samples take their radii and observation counts from N x N max-norm
+# distance matrices (three float buffers, 24 MB at N=1000); beyond it,
+# from kd-trees. The matrix path stays because the kd-tree path loses to
+# it on these observations, more so the more neighbors: DFL alone at
+# N=1000 on 2 CPUs took 0.54 s on matrices against 0.56 s on kd-trees
+# at n=8, 3.15 s against 6.98 s at n=16, and 6.55 s against 67.8 s at
+# n=30, density 0.6. The observation's distance matrix is built once per
+# corrupt node and serves all its targets, while the kd-tree path
+# searches a tree over the observation and the target for every target.
 _MATRIX_PATH_MAX_SAMPLES = 4000
 
 
@@ -202,21 +210,25 @@ class _CellEstimator:
 
     mi(i) gives exactly knn_mi(observation, G_i) (same radii, same
     strict counts) for the observation last passed to observe(). A
-    multi-column observation of at most _MATRIX_PATH_MAX_SAMPLES rows is
-    counted on its max-norm distance matrix; any other on kd-trees. The
-    observation's matrix or tree is built once, on first use; target
-    column trees and self-information are cached for the whole cell.
+    multi-column observation of at most _MATRIX_PATH_MAX_SAMPLES rows
+    takes its radii and counts from its max-norm distance matrix; any
+    other observation gets them from _kth_neighbor_radius and
+    _strict_counts. Target counts always come from _strict_counts. The
+    observation's matrix or count index (its sorted column, or a kd-tree
+    when it has several columns) is built once, on first use; each
+    target's sorted column and self-information are cached for the
+    whole cell.
     """
 
     def __init__(self, data: np.ndarray, k: int):
         self.data = data
         self.k = k
         self._psi = float(digamma(k)) + float(digamma(data.shape[0]))
-        self._column_trees: dict[int, cKDTree] = {}
+        self._sorted_columns: dict[int, np.ndarray] = {}
         self._self_mi: dict[int, float] = {}
         self._scratch: tuple[np.ndarray, np.ndarray] | None = None
         self._x: np.ndarray | None = None
-        self._x_tree: cKDTree | None = None
+        self._x_index = None
         self._x_dist: np.ndarray | None = None
 
     def self_mi(self, i: int) -> float:
@@ -229,7 +241,7 @@ class _CellEstimator:
     def observe(self, observed: np.ndarray) -> None:
         """Make observed, an (N,) or (N, d) array, the one mi() scores."""
         self._x = observed.reshape(len(observed), -1)
-        self._x_tree = self._x_dist = None
+        self._x_index = self._x_dist = None
 
     def mi(self, i: int) -> float:
         """I(observation; G_i) in nats."""
@@ -240,16 +252,19 @@ class _CellEstimator:
             cx, cy = self._tree_counts(i)
         return self._psi - float(np.mean(digamma(cx) + digamma(cy)))
 
-    def _tree_counts(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+    def _target_counts(self, i: int, radii: np.ndarray) -> np.ndarray:
         y = self.data[:, i, None]
-        radii = _kth_neighbor_radius(np.hstack([self._x, y]), self.k)
-        if self._x_tree is None:
-            self._x_tree = cKDTree(self._x)
-        if i not in self._column_trees:
-            self._column_trees[i] = cKDTree(y)
+        if i not in self._sorted_columns:
+            self._sorted_columns[i] = _count_index(y)
+        return _strict_counts(y, radii, index=self._sorted_columns[i])
+
+    def _tree_counts(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        radii = _kth_neighbor_radius(np.hstack([self._x, self.data[:, i, None]]), self.k)
+        if self._x_index is None:
+            self._x_index = _count_index(self._x)
         return (
-            _strict_counts(self._x, radii, tree=self._x_tree),
-            _strict_counts(y, radii, tree=self._column_trees[i]),
+            _strict_counts(self._x, radii, index=self._x_index),
+            self._target_counts(i, radii),
         )
 
     def _matrix_counts(self, i: int) -> tuple[np.ndarray, np.ndarray]:
@@ -269,10 +284,10 @@ class _CellEstimator:
         np.abs(dy, out=dy)
         np.maximum(self._x_dist, dy, out=joint)
         joint.partition(self.k, axis=1)
-        strict = np.nextafter(joint[:, self.k], 0.0)[:, None]
+        radii = joint[:, self.k]
         return (
-            np.count_nonzero(self._x_dist <= strict, axis=1),
-            np.count_nonzero(dy <= strict, axis=1),
+            np.count_nonzero(self._x_dist <= np.nextafter(radii, 0.0)[:, None], axis=1),
+            self._target_counts(i, radii),
         )
 
 

@@ -254,8 +254,17 @@ class TestInvertGradientBatch:
         model, observed, labels, seeds, _ = batch
         bad = observed.copy()
         bad[1, 0] = np.nan
-        with pytest.raises(RuntimeError, match="diverged at iteration 0"):
+        with pytest.raises(RuntimeError, match=r"diverged at iteration 0: .* \(row 1\)"):
             invert_gradient(bad, model, labels, iters=5, seed=seeds)
+
+    def test_non_finite_cosine_names_the_row_in_observed(self, batch):
+        # the zero observation before it leaves the descent at once, so
+        # the bad row runs as the first running row but is row 1 here
+        model, observed, labels, seeds, _ = batch
+        bad = observed[[2, 0]].copy()
+        bad[1, 0] = np.nan
+        with pytest.raises(RuntimeError, match=r"\(row 1\)"):
+            invert_gradient(bad, model, [labels[2], labels[0]], iters=5, seed=[seeds[2], seeds[0]])
 
     def test_one_label_and_seed_per_row(self, batch):
         model, observed, labels, seeds, _ = batch

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 from fedleak.infotheory import (
     MIEstimate,
     SampleMatrix,
+    _kth_neighbor_radius,
+    _strict_counts,
     gaussian_entropy,
     gaussian_view_mi,
     knn_cmi,
@@ -299,3 +302,112 @@ class TestKnnCmi:
         x = np.ones(20)
         with pytest.raises(ValueError, match="degenerate"):
             knn_cmi(x, x, x)
+
+
+def pinned_inputs(case):
+    """Fixed draws for the pinned estimates: x (600, 3), y (600,) with
+    I(x_0; y) > 0, z (600, 2). "rounded" rounds all to 0.1, so distances
+    tie and many k-th radii are 0; "tiny" puts them at 3 + 1e-13 * draw,
+    where p +- r rounds and the spacing of floats makes ties."""
+    rng = np.random.default_rng(2409)
+    x = rng.standard_normal((600, 3))
+    y = 0.6 * x[:, 0] + 0.8 * rng.standard_normal(600)
+    z = rng.standard_normal((600, 2))
+    if case == "rounded":
+        x, y, z = np.round(x, 1), np.round(y, 1), np.round(z, 1)
+    elif case == "tiny":
+        x, y, z = 3.0 + 1e-13 * x, 3.0 + 1e-13 * y, 3.0 + 1e-13 * z
+    return x, y, z
+
+
+class TestPinnedEstimates:
+    """Exact floats, recorded before the counts moved from kd-trees to
+    sorted columns; any change to the counting shows here."""
+
+    @pytest.mark.parametrize(
+        "case, mi1, mi3, self_mi, cmi1, cmi2",
+        [
+            ("plain", 0.2922280251451497, 0.25841222710216893, 5.4733117553029285,
+             0.2946133551868919, 0.04193410621125215),
+            ("rounded", 0.7899689934792811, 0.5003979032027877, 1.910479202209319,
+             0.5504333118100107, 0.27672991387211465),
+            ("tiny", 0.33556063872776676, 0.2730223607990414, 5.964589533080707,
+             0.32275834151775584, 0.05372370653760372),
+        ],
+    )
+    def test_values(self, case, mi1, mi3, self_mi, cmi1, cmi2):
+        x, y, z = pinned_inputs(case)
+        assert knn_mi(x[:, 0], y).value == mi1
+        assert knn_mi(x, y, k=4).value == mi3
+        assert knn_mi(y, y).value == self_mi
+        assert knn_cmi(x[:, 0], y, z[:, 0]).value == cmi1
+        assert knn_cmi(x[:, 1], y, z, k=5).value == cmi2
+
+
+def reference_counts(column, radii):
+    """What the one-column count must equal: the kd-tree closed-ball
+    count at one ulp below each radius."""
+    points = column[:, None]
+    return cKDTree(points).query_ball_point(
+        points, np.nextafter(radii, 0.0), p=np.inf, return_length=True
+    )
+
+
+def assert_counts_match(x, y, k=3):
+    """Both marginals' counts at the joint k-th radii, against the
+    reference."""
+    radii = _kth_neighbor_radius(np.column_stack([x, y]), k)
+    for column in (x, y):
+        expected = reference_counts(column, radii)
+        assert np.array_equal(_strict_counts(column[:, None], radii), expected)
+    return radii
+
+
+class TestStrictCounts:
+    """One-column points are counted in windows of their sorted column;
+    the counts must equal the kd-tree's exactly, ties included."""
+
+    @pytest.mark.parametrize("n", [100, 1000, 4500])
+    def test_tied_values_and_zero_radii(self, n):
+        # a few levels 0.1 apart: whole blocks of ties at every radius
+        rng = np.random.default_rng(n)
+        x = np.round(0.1 * rng.standard_normal(n), 1)
+        y = np.round(0.1 * rng.standard_normal(n), 1)
+        radii = assert_counts_match(x, y)
+        assert np.any(radii == 0.0)
+
+    @pytest.mark.parametrize("n", [100, 1000, 4500])
+    def test_tiny_scale_with_offset(self, n):
+        # p +- r rounds to a neighbouring float, so searchsorted alone
+        # lands one tie block off
+        rng = np.random.default_rng(n + 1)
+        x = 3.0 + 1e-13 * rng.standard_normal(n)
+        y = 3.0 + 1e-8 * rng.standard_normal(n)
+        assert_counts_match(x, y)
+
+    @pytest.mark.parametrize("n", [300, 4500])
+    def test_continuous_data(self, n):
+        rng = np.random.default_rng(n + 2)
+        assert_counts_match(rng.standard_normal(n), rng.standard_normal(n))
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=2, max_value=400),
+        decimals=st.sampled_from([None, 0, 1, 2]),
+        scale=st.sampled_from([1.0, 1e-8, 1e-13]),
+        offset=st.sampled_from([0.0, 3.0, -1e6]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_any_radii_match_the_kd_tree(self, seed, n, decimals, scale, offset):
+        rng = np.random.default_rng(seed)
+        column = rng.standard_normal(n)
+        if decimals is not None:
+            column = np.round(column, decimals)
+        column = offset + scale * column
+        # radii from 0 to the full spread, plus exact gaps between samples
+        radii = np.abs(rng.standard_normal(n)) * rng.choice([0.0, 1e-3, 1.0], n) * scale
+        gaps = np.abs(column - rng.permutation(column))
+        radii = np.where(rng.random(n) < 0.5, gaps, radii)
+        counts = _strict_counts(column[:, None], radii)
+        assert np.array_equal(counts, reference_counts(column, radii))
+

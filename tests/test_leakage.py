@@ -5,7 +5,7 @@ import pytest
 from scipy.special import ndtri
 
 from fedleak import leakage
-from fedleak.infotheory import knn_cmi, knn_mi
+from fedleak.infotheory import SampleMatrix, knn_cmi, knn_mi
 from fedleak.leakage import (
     CellSummary,
     ExperimentConfig,
@@ -164,27 +164,30 @@ class TestEstimateModeLeakage:
         if not matrix_path:
             monkeypatch.setattr(leakage, "_MATRIX_PATH_MAX_SAMPLES", 0)
         n = 6
-        samples = draw_gradient_samples(n, 300, seed=11)
-        data = samples.data
+        gaussian = draw_gradient_samples(n, 300, seed=11)
+        # rounded to 0.1: tied distances and zero radii in every marginal
+        tied = SampleMatrix(data=np.round(gaussian.data, 1), labels=gaussian.labels)
         # nodes 0 and 5 are leaves; nodes 1 to 4 have two or three neighbors
         graph = Graph(n=n, edges=((0, 1), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5)))
         weights = metropolis_weights(graph)
-        for mode in ALL_MODES:
-            result = estimate_mode_leakage(mode, samples, graph=graph, weights=weights)
-            assert len(result.pairs) == (n if mode is Mode.CFL else n * (n - 1))
-            for k, i, value in result.pairs:
-                target = data[:, i]
-                if mode is Mode.CFL:
-                    observed = target
-                elif mode is Mode.CFL_SA:
-                    observed = data.sum(axis=1) - data[:, k]
-                elif mode is Mode.DFL_SA:
-                    row = weights.row(k)
-                    observed = data @ row - row[k] * data[:, k]
-                else:
-                    nbrs = graph.neighbors(k)
-                    observed = target if i in nbrs else data[:, nbrs]
-                assert value == knn_mi(observed, target).value, (mode, k, i)
+        for samples in (gaussian, tied):
+            data = samples.data
+            for mode in ALL_MODES:
+                result = estimate_mode_leakage(mode, samples, graph=graph, weights=weights)
+                assert len(result.pairs) == (n if mode is Mode.CFL else n * (n - 1))
+                for k, i, value in result.pairs:
+                    target = data[:, i]
+                    if mode is Mode.CFL:
+                        observed = target
+                    elif mode is Mode.CFL_SA:
+                        observed = data.sum(axis=1) - data[:, k]
+                    elif mode is Mode.DFL_SA:
+                        row = weights.row(k)
+                        observed = data @ row - row[k] * data[:, k]
+                    else:
+                        nbrs = graph.neighbors(k)
+                        observed = target if i in nbrs else data[:, nbrs]
+                    assert value == knn_mi(observed, target).value, (mode, k, i)
 
     def test_dfl_corrupt_node_without_neighbors_rejected(self):
         samples = draw_gradient_samples(4, 200, seed=0)
