@@ -124,6 +124,15 @@ def _check_density_tokens(densities) -> None:
         seen[token] = density
 
 
+def _check_repeats(option: str, values) -> None:
+    """Usage error for a value given twice, whose work and rows would repeat."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise UsageError(f"{option}: {value} is given more than once")
+        seen.add(value)
+
+
 def _mode_values(modes) -> str:
     return ",".join(m.value for m in modes)
 
@@ -168,13 +177,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:  # an option value out of range
         raise UsageError(str(exc)) from exc
+    _check_repeats("--n", n_values)
+    _check_repeats("--modes", [m.value for m in modes])
     _check_density_tokens(densities)
     print(
         f"[simulate] {len(n_values)} node counts x {len(densities)} densities "
         f"x {len(modes)} modes, {samples} samples",
         file=sys.stderr,
     )
-    report = run_experiment(config)
+
+    def progress(done: int, total: int, n: int, density: float) -> None:
+        print(
+            f"[simulate] cell {done}/{total} n={n} density={density:g} done",
+            file=sys.stderr,
+        )
+
+    report = run_experiment(config, progress)
 
     pairs_path = out_dir / "leakage_pairs.csv"
     cfl_by_cell = {
@@ -444,6 +462,8 @@ def _report_from_summary_csv(path: str) -> LeakageReport:
 def cmd_verify(args: argparse.Namespace) -> int:
     opts = _Options(args)
     tol = opts.get("tol", 0.05, float)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise UsageError(f"--tol must be finite and >= 0, got {tol!r}")
     report = _report_from_summary_csv(args.report)
     verdict = verify_proposition1(report, tol)
     failures = []
@@ -483,6 +503,7 @@ def cmd_analytic(args: argparse.Namespace) -> int:
     small = [v for v in n_values if v < 2]
     if small:
         raise UsageError(f"--n: closed forms need n >= 2, got {small[0]}")
+    _check_repeats("--n", n_values)
     _check_densities(n_values, densities)
 
     rows = []

@@ -20,12 +20,11 @@ a point j counts for query p at radius r when fl(|x_j - p|) <=
 nextafter(r, 0) in every coordinate, the distance as computed in
 floating point. One-column points are counted on a sorted copy of the
 column, any other on a kd-tree; both apply that same rule, so either
-gives the same counts. Every kd-tree query is split over all CPUs
-(workers=-1). On one thread the queries take less CPU time, but the
-sweeps' wall time then no longer follows the two-CPU reference kernel
-that perfbench scales it by (perfbench/workloads.py, Workload.parallel),
-and the scaled figures of repeated `sweep` runs spread about ten
-times as wide (BENCH_sweep.json, sweep_steadiness_seed0).
+gives the same counts. Every kd-tree query runs on the calling thread
+(scipy's default, workers=1): a sweep spreads its estimates over CPUs
+one (cell, mode) unit per worker process (leakage.run_experiment), and
+splitting each small query over threads too cost more in thread starts
+and lock waits than it saved.
 """
 
 from __future__ import annotations
@@ -149,7 +148,7 @@ def _check_shapes(k: int, *blocks: np.ndarray) -> int:
 
 def _kth_neighbor_radius(joint: np.ndarray, k: int) -> np.ndarray:
     """Max-norm distance to each point's k-th nearest neighbor."""
-    dist, _ = cKDTree(joint).query(joint, k=k + 1, p=np.inf, workers=-1)
+    dist, _ = cKDTree(joint).query(joint, k=k + 1, p=np.inf)
     return dist[:, -1]
 
 
@@ -204,17 +203,14 @@ def _strict_counts(
     the same points, built here when not passed. One-column points are
     counted in windows of their sorted column (_window_counts): since
     rounding is monotone the counted points are contiguous there, so
-    the window count is exact. Others are counted on a kd-tree queried
-    on all CPUs (workers=-1).
+    the window count is exact. Others are counted on a kd-tree.
     """
     if index is None:
         index = _count_index(points)
     strict = np.nextafter(radii, 0.0)
     if isinstance(index, np.ndarray):
         return _window_counts(index, points[:, 0], strict)
-    return index.query_ball_point(
-        points, strict, p=np.inf, return_length=True, workers=-1
-    )
+    return index.query_ball_point(points, strict, p=np.inf, return_length=True)
 
 
 def knn_mi(x, y, k: int = 3) -> MIEstimate:

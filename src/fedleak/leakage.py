@@ -30,11 +30,21 @@ Beside the estimates stand the Gaussian closed forms of the same view:
 infotheory.gaussian_view_mi on protocol.view_matrix, one call per
 corrupt node. They are reported for the secure-aggregation modes, whose
 values are finite; for CFL and DFL they are +inf on every shown target.
+
+A sweep (run_experiment) is a grid of independent cells. Each (cell,
+mode) estimate runs in a forked worker process, one worker per usable
+CPU; the parent draws the inputs and assembles the report in sweep
+order, so the report does not depend on the number of workers.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+import signal
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -80,10 +90,12 @@ __all__ = [
 # samples take their radii and observation counts from N x N max-norm
 # distance matrices (three float buffers, 24 MB at N=1000); beyond it,
 # from kd-trees. The matrix path stays because the kd-tree path loses to
-# it on these observations, more so the more neighbors: DFL alone at
-# N=1000 on 2 CPUs took 0.54 s on matrices against 0.56 s on kd-trees
-# at n=8, 3.15 s against 6.98 s at n=16, and 6.55 s against 67.8 s at
-# n=30, density 0.6. The observation's distance matrix is built once per
+# it on all but the smallest observations, more so the more neighbors:
+# DFL alone at N=1000, with one-thread kd-tree queries, took 0.40 s on
+# matrices against 0.35 s on kd-trees at n=8, density 0.3, but 0.22 s
+# against 0.28 s at n=8, density 0.9, 2.77 s against 4.83 s at n=16,
+# density 0.3, and 6.43 s against 67.6 s at n=30, density 0.6
+# (BENCH_sweep.json). The observation's distance matrix is built once per
 # corrupt node and serves all its targets, while the kd-tree path
 # searches a tree over the observation and the target for every target.
 _MATRIX_PATH_MAX_SAMPLES = 4000
@@ -383,14 +395,82 @@ def analytic_cell_average(
     return average, actual_density
 
 
-def run_experiment(config: ExperimentConfig) -> LeakageReport:
+def _estimate_unit(unit: tuple) -> ModeLeakage:
+    """One (cell, mode) estimate, run in a pool worker.
+
+    The pool pickles this function by name; the worker looks
+    estimate_mode_leakage up when it runs, so a wrapper put in its place
+    (a tracer's, a test's), which could not be pickled, still runs."""
+    mode, samples, graph, weights, k_nn, corrupt_nodes = unit
+    return estimate_mode_leakage(
+        mode, samples, graph=graph, weights=weights, k_nn=k_nn, corrupt_nodes=corrupt_nodes
+    )
+
+
+def _init_worker() -> None:
+    # The pool ends its workers with SIGTERM, so a worker takes its
+    # default action, not the parent's handler. Ctrl-C reaches the whole
+    # process group; only the parent acts on it.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
+class _Terminated(BaseException):
+    """A SIGTERM that arrived while the pool ran."""
+
+
+def _raise_terminated(signum, frame):
+    raise _Terminated
+
+
+@contextmanager
+def _pool_results(units: list[tuple]):
+    """Yield an iterator of _estimate_unit(unit) over units, in order.
+
+    The units run on forked workers, one per usable CPU but no more than
+    there are units. Forked workers start with numpy and scipy loaded and
+    with the parent's binding of estimate_mode_leakage; spawned ones
+    would import both again. Every worker is ended when the block exits:
+    after the last result, when a unit raises (its exception reaches the
+    caller), or on SIGTERM, which then ends the workers and the parent,
+    by SIGTERM's default action. A process that handles or ignores
+    SIGTERM itself, or a thread other than the main one (which cannot
+    set a handler), keeps its own handling."""
+    workers = min(len(os.sched_getaffinity(0)), len(units))
+    catch = (
+        threading.current_thread() is threading.main_thread()
+        and signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+    )
+    if catch:
+        signal.signal(signal.SIGTERM, _raise_terminated)
+    try:
+        with multiprocessing.get_context("fork").Pool(workers, _init_worker) as pool:
+            yield pool.imap(_estimate_unit, units, chunksize=1)
+    except _Terminated:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.raise_signal(signal.SIGTERM)
+        raise  # only if SIGTERM is blocked in this thread
+    finally:
+        if catch:
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
+def run_experiment(config: ExperimentConfig, progress=None) -> LeakageReport:
     """Full sweep over n_values x densities x modes; deterministic per seed.
 
     Each cell derives its own RNG streams from (seed, n, density), so
     cells are independent of sweep order and may be recomputed in
-    isolation."""
+    isolation. The parent draws every cell's samples, graph, weights
+    and corrupt subsample in sweep order; each (cell, mode)
+    estimate_mode_leakage then runs on a pool of forked worker
+    processes (_pool_results), and the report is assembled in sweep
+    order from the results. No result depends on the number of
+    workers. progress, when given, is called as progress(done, total,
+    n, density) once all of a cell's estimates have arrived."""
     report = LeakageReport(config=config)
     needs_graph = any(m.decentralized for m in config.modes)
+    cells = []  # (n, density, graph, weights, actual density) in sweep order
+    units = []  # estimate_mode_leakage arguments of each (cell, mode)
     for n in config.n_values:
         for density in config.densities:
             sample_ss, graph_seed, subsample_ss = cell_seed_sequences(
@@ -411,17 +491,18 @@ def run_experiment(config: ExperimentConfig) -> LeakageReport:
                     int(v)
                     for v in rng.choice(n, size=config.corrupt_subsample, replace=False)
                 )
+            cells.append((n, density, graph, w, actual_density))
+            units += [
+                (mode, samples, graph, w, config.k_nn, corrupt_nodes)
+                for mode in config.modes
+            ]
+
+    with _pool_results(units) as results:
+        for done, (n, density, graph, w, actual_density) in enumerate(cells, 1):
             averages: dict[Mode, float] = {}
             analytic: dict[Mode, float] = {}
             for mode in config.modes:
-                result = estimate_mode_leakage(
-                    mode,
-                    samples,
-                    graph=graph,
-                    weights=w,
-                    k_nn=config.k_nn,
-                    corrupt_nodes=corrupt_nodes,
-                )
+                result = next(results)
                 averages[mode] = result.average
                 closed, analytic[mode] = _closed_forms(mode, n, graph, w)
                 for corrupt, target, value in result.pairs:
@@ -449,6 +530,8 @@ def run_experiment(config: ExperimentConfig) -> LeakageReport:
                         relative=averages[mode] / cfl_avg if cfl_avg else math.nan,
                     )
                 )
+            if progress is not None:
+                progress(done, len(cells), n, density)
     return report
 
 

@@ -1,7 +1,16 @@
+import os
+import select
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
-from fedleak import attack
-from fedleak.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, main
+import fedleak
+from fedleak import attack, leakage
+from fedleak.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VERIFY_FAILED, main
 from fedleak.reporting import read_csv, write_csv
 
 SMALL_SWEEP = ["--n", "4", "--densities", "1.0", "--samples", "100"]
@@ -61,6 +70,19 @@ class TestUsageErrors:
                 ["attack", "--n", "5", "--densities", "0.8,0.8", "--iters", "10"],
                 "--densities: 0.8 and 0.8 both name their output files d0p8",
             ),
+            (
+                ["simulate", "--n", "5,5", "--densities", "0.6", "--samples", "200"],
+                "--n: 5 is given more than once",
+            ),
+            (
+                ["simulate", "--n", "5", "--densities", "0.6", "--samples", "200",
+                 "--modes", "cfl,dfl,CFL"],
+                "--modes: cfl is given more than once",
+            ),
+            (
+                ["analytic", "--n", "5,6,5", "--densities", "0.6"],
+                "--n: 5 is given more than once",
+            ),
         ],
         ids=[
             "analytic-density",
@@ -74,6 +96,9 @@ class TestUsageErrors:
             "simulate-density-token",
             "attack-density-token",
             "attack-repeated-density",
+            "simulate-repeated-n",
+            "simulate-repeated-mode",
+            "analytic-repeated-n",
         ],
     )
     def test_bad_option_exits_before_any_work(self, tmp_path, capsys, argv, message):
@@ -112,6 +137,63 @@ class TestSimulateOutputs:
         assert (out / "leakage_summary.csv").is_file()
         assert not (out / "leakage_relative.svg").exists()
         assert "output_svg" not in (out / "manifest.txt").read_text()
+
+
+    def test_progress_line_per_cell(self, tmp_path, capsys):
+        argv = ["--n", "4,5", "--densities", "1.0", "--samples", "100"]
+        assert simulate(tmp_path, *argv) == EXIT_OK
+        progress = [
+            line for line in capsys.readouterr().err.splitlines() if " cell " in line
+        ]
+        assert progress == [
+            "[simulate] cell 1/2 n=4 density=1 done",
+            "[simulate] cell 2/2 n=5 density=1 done",
+        ]
+
+    def test_failing_unit_is_a_runtime_error(self, tmp_path, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise ValueError("no estimate")
+
+        monkeypatch.setattr(leakage, "estimate_mode_leakage", failing)
+        assert simulate(tmp_path, *SMALL_SWEEP) == EXIT_RUNTIME
+        assert "error: no estimate" in capsys.readouterr().err
+
+    def test_sigterm_leaves_no_worker(self, tmp_path):
+        src = Path(fedleak.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        # The second cell's one unit takes seconds, so a worker left
+        # behind would still be computing it when the check below ends.
+        argv = [sys.executable, "-m", "fedleak.cli", "simulate", "--n", "4,40",
+                "--densities", "1.0", "--modes", "cfl_sa", "--out-dir", str(tmp_path / "out")]
+        proc = subprocess.Popen(argv, env=env, stderr=subprocess.PIPE, start_new_session=True)
+        try:
+            seen = b""
+            deadline = time.monotonic() + 60
+            while b"cell 1/2" not in seen:
+                wait = max(0.0, deadline - time.monotonic())
+                ready, _, _ = select.select([proc.stderr], [], [], wait)
+                chunk = os.read(proc.stderr.fileno(), 4096) if ready else b""
+                assert chunk, f"no first-cell line from simulate: {seen!r}"
+                seen += chunk
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60) == -signal.SIGTERM  # killed mid-sweep
+            # the new session's process group: the parent and its workers
+            deadline = time.monotonic() + 1
+            while time.monotonic() < deadline:
+                try:
+                    os.killpg(proc.pid, 0)
+                except ProcessLookupError:
+                    break
+                time.sleep(0.1)
+            else:
+                pytest.fail("a worker outlived the SIGTERM")
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait(timeout=60)
+            proc.stderr.close()
 
 
 class TestAttackOutputs:
@@ -198,6 +280,13 @@ class TestVerify:
         # its closed form is positive, so the chain holds.
         assert main(["verify", str(summary)]) == EXIT_OK
         assert "CHAIN HOLDS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_tol_is_a_usage_error(self, summary, capsys, tol):
+        assert main(["verify", str(summary), "--tol", tol]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "--tol must be finite and >= 0" in captured.err
+        assert captured.out == ""
 
     def test_swapped_sa_estimates_fail(self, summary, tmp_path, capsys):
         header, rows, _ = read_csv(summary)

@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -284,6 +286,69 @@ class TestRunExperiment:
         b = cell_seed_sequences(3, 10, 0.5)
         c = cell_seed_sequences(3, 10, 0.6)
         assert a[1] == b[1] != c[1]
+
+
+class TestWorkerPool:
+    CONFIG = ExperimentConfig(n_values=(6,), densities=(0.6, 1.0), samples=300, seed=4)
+
+    @staticmethod
+    def exact(report):
+        # repr writes every float exactly, NaN included
+        return repr(report.pairs), repr(report.summary), report.graphs
+
+    def test_report_does_not_depend_on_worker_count(self, monkeypatch):
+        sizes = []
+        fork = multiprocessing.get_context("fork")
+        real_pool = fork.Pool
+
+        def pool(processes, *args, **kwargs):
+            sizes.append(processes)
+            return real_pool(processes, *args, **kwargs)
+
+        monkeypatch.setattr(fork, "Pool", pool)
+        reports = []
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            reports.append(run_experiment(self.CONFIG))
+        assert sizes == [1, 2]
+        assert len(reports[0].summary) == 8
+        assert self.exact(reports[0]) == self.exact(reports[1])
+
+    def test_no_worker_outlives_the_sweep(self):
+        run_experiment(self.CONFIG)
+        assert multiprocessing.active_children() == []
+
+    def test_unit_error_reaches_the_caller(self, monkeypatch):
+        real = leakage.estimate_mode_leakage
+
+        def failing(mode, *args, **kwargs):
+            if mode is Mode.DFL:
+                raise ValueError("no estimate for dfl")
+            return real(mode, *args, **kwargs)
+
+        monkeypatch.setattr(leakage, "estimate_mode_leakage", failing)
+        with pytest.raises(ValueError, match="^no estimate for dfl$"):
+            run_experiment(self.CONFIG)
+        assert multiprocessing.active_children() == []
+
+    def test_wrapped_estimator_runs_in_the_workers(self, monkeypatch, tmp_path):
+        # A tracer replaces estimate_mode_leakage with a closure, which
+        # cannot be pickled; the workers must still run it.
+        expected = self.exact(run_experiment(self.CONFIG))
+        real = leakage.estimate_mode_leakage
+
+        def wrapper(mode, *args, **kwargs):
+            (tmp_path / mode.value).touch()
+            return real(mode, *args, **kwargs)
+
+        monkeypatch.setattr(leakage, "estimate_mode_leakage", wrapper)
+        assert self.exact(run_experiment(self.CONFIG)) == expected
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(m.value for m in ALL_MODES)
+
+    def test_progress_once_per_cell_in_sweep_order(self):
+        calls = []
+        run_experiment(self.CONFIG, lambda *args: calls.append(args))
+        assert calls == [(1, 2, 6, 0.6), (2, 2, 6, 1.0)]
 
 
 def synthetic_report(cells):
