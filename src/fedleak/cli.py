@@ -328,6 +328,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
         raise UsageError(f"--iters must be >= 1, got {iters}")
     if not (math.isfinite(lr) and lr > 0.0):
         raise UsageError(f"--lr must be finite and > 0, got {lr!r}")
+    _check_repeats("--modes", [m.value for m in modes])
     if needs_topology and fixed_graph is None:
         _check_densities((n,), densities)
     _check_density_tokens(densities)

@@ -49,6 +49,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.spatial.distance import cdist
 from scipy.special import digamma
 
 from .infotheory import (
@@ -87,18 +89,27 @@ __all__ = [
 ]
 
 # Multi-column observations (DFL's neighbor gradients) up to this many
-# samples take their radii and observation counts from N x N max-norm
-# distance matrices (three float buffers, 24 MB at N=1000); beyond it,
-# from kd-trees. The matrix path stays because the kd-tree path loses to
-# it on all but the smallest observations, more so the more neighbors:
-# DFL alone at N=1000, with one-thread kd-tree queries, took 0.40 s on
-# matrices against 0.35 s on kd-trees at n=8, density 0.3, but 0.22 s
-# against 0.28 s at n=8, density 0.9, 2.77 s against 4.83 s at n=16,
-# density 0.3, and 6.43 s against 67.6 s at n=30, density 0.6
-# (BENCH_sweep.json). The observation's distance matrix is built once per
-# corrupt node and serves all its targets, while the kd-tree path
-# searches a tree over the observation and the target for every target.
+# samples take their radii and observation counts from the observation's
+# N x N max-norm distance matrix (one float buffer, 8 MB at N=1000),
+# mostly from each point's _NEIGHBOR_CANDIDATES nearest neighbors in it;
+# beyond it, where the matrix would pass 128 MB, from kd-trees. The
+# matrix and the candidates are built once per corrupt node and serve
+# all its targets, while the kd-tree path searches a tree over the
+# observation and the target for every target, so it loses on every
+# probed observation, more so the more neighbors: DFL alone at N=1000,
+# one thread, took 0.19 s on the matrix against 0.25 s on kd-trees at
+# n=8, density 0.3; 0.11 s against 0.21 s at n=8, density 0.9; 0.47 s
+# against 3.6 s at n=16, density 0.3 (BENCH_sweep.json, candidates);
+# and 1.0 s against 67.6 s at n=30, density 0.6 (kd-trees: fork_pool).
 _MATRIX_PATH_MAX_SAMPLES = 4000
+
+# Nearest observation neighbors kept per point on the matrix path. A
+# point whose k-th joint neighbor lies among them is settled from them
+# alone; any other is recounted on its full matrix row. DFL at n=8,
+# N=1000 took 0.26/0.12 s at density 0.3/0.9 with 16 candidates,
+# 0.19/0.11 s with 32 and 0.18/0.12 s with 64; at n=30, density 0.6,
+# 0.97 s with 32 and 1.16 s with 64.
+_NEIGHBOR_CANDIDATES = 32
 
 
 @dataclass(frozen=True)
@@ -221,15 +232,17 @@ class _CellEstimator:
     """KSG evaluator shared by the many estimates in one cell.
 
     mi(i) gives exactly knn_mi(observation, G_i) (same radii, same
-    strict counts) for the observation last passed to observe(). A
-    multi-column observation of at most _MATRIX_PATH_MAX_SAMPLES rows
-    takes its radii and counts from its max-norm distance matrix; any
-    other observation gets them from _kth_neighbor_radius and
-    _strict_counts. Target counts always come from _strict_counts. The
-    observation's matrix or count index (its sorted column, or a kd-tree
-    when it has several columns) is built once, on first use; each
-    target's sorted column and self-information are cached for the
-    whole cell.
+    strict counts) for the observation last passed to observe(), and
+    self_mi(i) exactly knn_mi(G_i, G_i). A multi-column observation of
+    at most _MATRIX_PATH_MAX_SAMPLES rows takes its radii and counts
+    from its max-norm distance matrix, built once per observation, and
+    from each point's _NEIGHBOR_CANDIDATES nearest observation neighbors
+    in it (_matrix_counts); any other observation gets them from
+    _kth_neighbor_radius and _strict_counts over its count index (its
+    sorted column, or a kd-tree when it has several columns), also built
+    once per observation. Target counts always come from _strict_counts
+    on the target's sorted column; that column and the self term are
+    cached for the whole cell.
     """
 
     def __init__(self, data: np.ndarray, k: int):
@@ -238,22 +251,41 @@ class _CellEstimator:
         self._psi = float(digamma(k)) + float(digamma(data.shape[0]))
         self._sorted_columns: dict[int, np.ndarray] = {}
         self._self_mi: dict[int, float] = {}
-        self._scratch: tuple[np.ndarray, np.ndarray] | None = None
         self._x: np.ndarray | None = None
         self._x_index = None
         self._x_dist: np.ndarray | None = None
+        self._candidates: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def self_mi(self, i: int) -> float:
-        """I(G_i; G_i): the term of a target the observation shows."""
+        """I(G_i; G_i): the term of a target the observation shows.
+
+        In one dimension a point's nearest neighbors on each side come in
+        order, so its k+1 nearest distances (itself included) lie in a
+        +-k window of the sorted column. When every point's k-th distance
+        is strictly beyond its (k-1)-th (and so above 0), exactly k points
+        lie strictly inside each radius in both marginals, and the value
+        is knn_mi's expression with every count k. Otherwise knn_mi runs.
+        """
         if i not in self._self_mi:
-            column = self.data[:, i]
-            self._self_mi[i] = knn_mi(column, column, k=self.k).value
+            k = self.k
+            column = self._sorted_column(i)
+            n = len(column)
+            pad = np.full(k, np.inf)
+            windows = sliding_window_view(np.concatenate([pad, column, pad]), 2 * k + 1)
+            dist = np.abs(windows - column[:, None])
+            dist.partition((k - 1, k), axis=1)
+            if n > k and np.all(dist[:, k] > dist[:, k - 1]):
+                counts = np.full(n, k)
+                value = float(digamma(k) + digamma(n) - np.mean(digamma(counts) + digamma(counts)))
+            else:
+                value = knn_mi(self.data[:, i], self.data[:, i], k=k).value
+            self._self_mi[i] = value
         return self._self_mi[i]
 
     def observe(self, observed: np.ndarray) -> None:
         """Make observed, an (N,) or (N, d) array, the one mi() scores."""
         self._x = observed.reshape(len(observed), -1)
-        self._x_index = self._x_dist = None
+        self._x_index = self._x_dist = self._candidates = None
 
     def mi(self, i: int) -> float:
         """I(observation; G_i) in nats."""
@@ -264,11 +296,13 @@ class _CellEstimator:
             cx, cy = self._tree_counts(i)
         return self._psi - float(np.mean(digamma(cx) + digamma(cy)))
 
-    def _target_counts(self, i: int, radii: np.ndarray) -> np.ndarray:
-        y = self.data[:, i, None]
+    def _sorted_column(self, i: int) -> np.ndarray:
         if i not in self._sorted_columns:
-            self._sorted_columns[i] = _count_index(y)
-        return _strict_counts(y, radii, index=self._sorted_columns[i])
+            self._sorted_columns[i] = _count_index(self.data[:, i, None])
+        return self._sorted_columns[i]
+
+    def _target_counts(self, i: int, radii: np.ndarray) -> np.ndarray:
+        return _strict_counts(self.data[:, i, None], radii, index=self._sorted_column(i))
 
     def _tree_counts(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         radii = _kth_neighbor_radius(np.hstack([self._x, self.data[:, i, None]]), self.k)
@@ -279,28 +313,61 @@ class _CellEstimator:
             self._target_counts(i, radii),
         )
 
+    def _observe_matrix(self) -> None:
+        """The observation's distance matrix and, per point, the indices
+        and distances of its m nearest observation neighbors (itself
+        among them) and the (m+1)-th smallest distance b, a bound below
+        every other point's distance. m = min(_NEIGHBOR_CANDIDATES, N-1);
+        with m <= k the candidates cannot hold a k-th neighbor and are
+        not kept."""
+        self._x_dist = cdist(self._x, self._x, "chebyshev")
+        m = min(_NEIGHBOR_CANDIDATES, len(self._x) - 1)
+        if m > self.k:
+            order = np.argpartition(self._x_dist, m, axis=1)
+            nearest = order[:, :m].copy()
+            bound = np.take_along_axis(self._x_dist, order[:, m, None], axis=1)[:, 0]
+            del order  # N x N indices: drop them before any target
+            self._candidates = (
+                nearest,
+                np.take_along_axis(self._x_dist, nearest, axis=1),
+                bound,
+            )
+
     def _matrix_counts(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        n_samples = self._x.shape[0]
-        if self._scratch is None:
-            shape = (n_samples, n_samples)
-            self._scratch = (np.empty(shape), np.empty(shape))
-        dy, joint = self._scratch
+        """Radii and observation counts of mi(i) on the matrix path.
+
+        For a point with candidate bound b, every point outside its
+        candidates is at least b away in the observation, and so in the
+        joint space. If the k-th joint distance r among the candidates
+        has b >= r, it is the k-th over all points; if also b >
+        nextafter(r, 0), no outside point is counted. Such a point is
+        settled from its candidates; any other is recounted on its full
+        matrix row, as knn_mi's rule reads: joint distance max(observation
+        distance, |y_a - y_b|), k-th smallest (itself at 0 included),
+        count of observation distances <= nextafter(r, 0)."""
         if self._x_dist is None:
-            self._x_dist = np.zeros((n_samples, n_samples))
-            for column in self._x.T:
-                np.subtract.outer(column, column, out=dy)
-                np.abs(dy, out=dy)
-                np.maximum(self._x_dist, dy, out=self._x_dist)
+            self._observe_matrix()
+        x_dist = self._x_dist
         y = self.data[:, i]
-        np.subtract.outer(y, y, out=dy)
-        np.abs(dy, out=dy)
-        np.maximum(self._x_dist, dy, out=joint)
-        joint.partition(self.k, axis=1)
-        radii = joint[:, self.k]
-        return (
-            np.count_nonzero(self._x_dist <= np.nextafter(radii, 0.0)[:, None], axis=1),
-            self._target_counts(i, radii),
-        )
+        if self._candidates is None:
+            radii = np.empty(len(y))
+            counts = np.empty(len(y), dtype=np.intp)
+            rows = np.arange(len(y))
+        else:
+            nearest, near_dist, bound = self._candidates
+            joint = np.maximum(near_dist, np.abs(y[:, None] - y[nearest]))
+            joint.partition(self.k, axis=1)
+            radii = joint[:, self.k]
+            strict = np.nextafter(radii, 0.0)
+            counts = np.count_nonzero(near_dist <= strict[:, None], axis=1)
+            rows = np.flatnonzero((bound < radii) | (bound <= strict))
+        if rows.size:
+            joint = np.maximum(x_dist[rows], np.abs(y[rows, None] - y))
+            joint.partition(self.k, axis=1)
+            radii[rows] = joint[:, self.k]
+            strict = np.nextafter(radii[rows], 0.0)
+            counts[rows] = np.count_nonzero(x_dist[rows] <= strict[:, None], axis=1)
+        return counts, self._target_counts(i, radii)
 
 
 def estimate_mode_leakage(

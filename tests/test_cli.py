@@ -83,6 +83,11 @@ class TestUsageErrors:
                 ["analytic", "--n", "5,6,5", "--densities", "0.6"],
                 "--n: 5 is given more than once",
             ),
+            (
+                ["attack", "--n", "4", "--modes", "cfl,cfl", "--densities", "1.0",
+                 "--iters", "5"],
+                "--modes: cfl is given more than once",
+            ),
         ],
         ids=[
             "analytic-density",
@@ -99,6 +104,7 @@ class TestUsageErrors:
             "simulate-repeated-n",
             "simulate-repeated-mode",
             "analytic-repeated-n",
+            "attack-repeated-mode",
         ],
     )
     def test_bad_option_exits_before_any_work(self, tmp_path, capsys, argv, message):

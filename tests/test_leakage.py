@@ -161,22 +161,31 @@ class TestEstimateModeLeakage:
                 ]
             assert np.mean(cond) == pytest.approx(fast.average, abs=0.05)
 
-    @pytest.mark.parametrize("matrix_path", [True, False], ids=["matrix", "trees"])
-    def test_pairs_equal_knn_mi_on_rebuilt_observation(self, monkeypatch, matrix_path):
-        if not matrix_path:
-            monkeypatch.setattr(leakage, "_MATRIX_PATH_MAX_SAMPLES", 0)
-        n = 6
-        gaussian = draw_gradient_samples(n, 300, seed=11)
-        # rounded to 0.1: tied distances and zero radii in every marginal
-        tied = SampleMatrix(data=np.round(gaussian.data, 1), labels=gaussian.labels)
-        # nodes 0 and 5 are leaves; nodes 1 to 4 have two or three neighbors
-        graph = Graph(n=n, edges=((0, 1), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5)))
-        weights = metropolis_weights(graph)
-        for samples in (gaussian, tied):
+    @pytest.mark.parametrize(
+        "max_samples, candidates",
+        [(None, None), (0, None), (None, 4), (None, 10_000)],
+        ids=["matrix", "trees", "matrix-most-rows-recounted", "matrix-no-row-recounted"],
+    )
+    def test_pairs_equal_knn_mi_on_rebuilt_observation(self, monkeypatch, max_samples, candidates):
+        if max_samples is not None:
+            monkeypatch.setattr(leakage, "_MATRIX_PATH_MAX_SAMPLES", max_samples)
+        if candidates is not None:
+            # k + 1 candidates: few points find their k-th joint neighbor
+            # among them; at least N - 1: nearly every point does
+            monkeypatch.setattr(leakage, "_NEIGHBOR_CANDIDATES", candidates)
+
+        def rounded(samples):
+            # rounded to 0.1: tied distances and zero radii in every marginal
+            return SampleMatrix(data=np.round(samples.data, 1), labels=samples.labels)
+
+        def check(samples, graph, modes, corrupt_nodes=None):
             data = samples.data
-            for mode in ALL_MODES:
-                result = estimate_mode_leakage(mode, samples, graph=graph, weights=weights)
-                assert len(result.pairs) == (n if mode is Mode.CFL else n * (n - 1))
+            weights = metropolis_weights(graph)
+            results = {}
+            for mode in modes:
+                results[mode] = result = estimate_mode_leakage(
+                    mode, samples, graph=graph, weights=weights, corrupt_nodes=corrupt_nodes
+                )
                 for k, i, value in result.pairs:
                     target = data[:, i]
                     if mode is Mode.CFL:
@@ -190,6 +199,45 @@ class TestEstimateModeLeakage:
                         nbrs = graph.neighbors(k)
                         observed = target if i in nbrs else data[:, nbrs]
                     assert value == knn_mi(observed, target).value, (mode, k, i)
+            return results
+
+        n = 6
+        # nodes 0 and 5 are leaves; nodes 1 to 4 have two or three neighbors
+        graph = Graph(n=n, edges=((0, 1), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5)))
+        gaussian = draw_gradient_samples(n, 300, seed=11)
+        # rounded to 1: zero joint radii, and observation values shared by
+        # more points than there are candidates; row 0 stands apart, or
+        # every radius of some self term would be 0
+        coarse = np.round(gaussian.data)
+        coarse[0] = 10.0 + np.arange(n)
+        for samples in (gaussian, rounded(gaussian), SampleMatrix(coarse, gaussian.labels)):
+            for mode, result in check(samples, graph, ALL_MODES).items():
+                assert len(result.pairs) == (n if mode is Mode.CFL else n * (n - 1))
+        # N = k + 1 has no candidate set; N = k + 2 has one of k + 1 points
+        for n_samples in (4, 5):
+            check(draw_gradient_samples(n, n_samples, seed=n_samples), graph, ALL_MODES)
+        # node 0 sees 20 neighbors and scores the three nodes beyond node 20
+        wide = Graph(n=24, edges=tuple((0, j) for j in range(1, 21)) + ((20, 21), (21, 22), (22, 23)))
+        gaussian = draw_gradient_samples(24, 300, seed=12)
+        for samples in (gaussian, rounded(gaussian)):
+            result = check(samples, wide, (Mode.DFL,), corrupt_nodes=[0])[Mode.DFL]
+            assert [i for _, i, _ in result.pairs if i > 20] == [21, 22, 23]
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_self_term_equals_knn_mi(self, k):
+        rng = np.random.default_rng(k)
+        columns = [rng.standard_normal(size) for size in (k + 1, k + 2, 300, 1000)]
+        columns += [np.round(rng.standard_normal(1000), 2), np.round(rng.standard_normal(300), 1)]
+        # irregular gaps, no tie but one: a duplicate pair a, a then b and
+        # p with |b - a| < |p - b|, so p's 2nd and 3rd neighbors tie, one
+        # of them 3 places away in the sorted column
+        left = np.cumsum(rng.uniform(1.0, 2.0, 20))
+        a = left[-1] + 10
+        right = a + 40 + np.cumsum(rng.uniform(1.0, 2.0, 20))
+        columns.append(rng.permutation(np.concatenate([left, [a, a, a + 0.25, a + 1], right])))
+        for column in columns:
+            est = leakage._CellEstimator(column[:, None], k)
+            assert est.self_mi(0) == knn_mi(column, column, k=k).value, len(column)
 
     def test_dfl_corrupt_node_without_neighbors_rejected(self):
         samples = draw_gradient_samples(4, 200, seed=0)
