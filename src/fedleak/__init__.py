@@ -13,7 +13,6 @@ from .attack import (
     ToyImage,
     ToyModel,
     attack_experiment,
-    exact_input_from_gradient,
     invert_gradient,
     make_blob_dataset,
     ssim,
@@ -36,7 +35,7 @@ from .leakage import (
     run_experiment,
     verify_proposition1,
 )
-from .protocol import ALL_MODES, GradientVector, Mode, extract_observation, view_matrix
+from .protocol import ALL_MODES, Mode, extract_observation, view_matrix
 from .topology import (
     Graph,
     WeightMatrix,

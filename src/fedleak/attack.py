@@ -21,14 +21,18 @@ mean (see `attack_experiment`).
 
 The inversion is batched: `invert_gradient` takes a stack of observed
 gradients with one label and one dummy seed per row, and runs one
-descent loop on (rows x pixels) matrices; `attack_experiment` sends
-every target of every (mode, graph, weights) view of one seed in one
-call. A single observation is a batch of one. Rows share only the
+descent loop for all rows; `attack_experiment` sends every target of
+every (mode, graph, weights) view of one seed in one call. A single
+observation is a batch of one. The dummy's gradient has rank one,
+g = [a x^T, a] with a = p - e_y, so the loop never forms it: it
+evaluates the cosine and its gradient from a, x and the observation
+split into its (classes x pixels) and bias parts, and every step runs
+on (rows x classes) and (rows x pixels) arrays. Rows share only the
 model: each row keeps its own zero-observation and saturation stops,
 and every pixel moves by exactly -step, 0 or +step per step, so a row's
 reconstruction does not depend on what else is in its batch (the
-matrix products' rounding could matter only through the sign of a
-gradient component within rounding of 0).
+products' rounding could matter only through the sign of a gradient
+component within rounding of 0).
 
 Reconstruction quality is scored with a single-window SSIM over the
 whole image; the images are smaller than the standard sliding window.
@@ -42,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import GradientVector, Mode, extract_observation, view_matrix
+from .protocol import Mode, extract_observation, view_matrix
 from .topology import Graph, WeightMatrix, metropolis_weights
 
 __all__ = [
@@ -52,7 +56,6 @@ __all__ = [
     "AttackResult",
     "make_blob_dataset",
     "toy_gradient",
-    "exact_input_from_gradient",
     "invert_gradient",
     "ssim",
     "attack_experiment",
@@ -164,7 +167,7 @@ def make_blob_dataset(
     return images
 
 
-def toy_gradient(model: ToyModel, img: ToyImage) -> GradientVector:
+def toy_gradient(model: ToyModel, img: ToyImage) -> np.ndarray:
     """Exact cross-entropy gradient, flattened as (dW.ravel(), db)."""
     x = img.flat
     if x.shape[0] != model.n_pixels:
@@ -176,29 +179,7 @@ def toy_gradient(model: ToyModel, img: ToyImage) -> GradientVector:
     p = _softmax(model.w @ x + model.b)
     a = p.copy()
     a[img.label] -= 1.0
-    return GradientVector(values=np.concatenate([np.outer(a, x).ravel(), a]))
-
-
-def _split_gradient(vec: np.ndarray, model: ToyModel) -> tuple[np.ndarray, np.ndarray]:
-    if vec.shape[0] != model.dim:
-        raise ValueError(f"gradient dim {vec.shape[0]} != model dim {model.dim}")
-    cut = model.w.size
-    return vec[:cut].reshape(model.w.shape), vec[cut:]
-
-
-def exact_input_from_gradient(observed, model: ToyModel) -> np.ndarray:
-    """Closed-form input recovery from a single-sample gradient.
-
-    Each row of dW equals (p - e_y)_c * x, so dividing the row with the
-    largest bias-gradient magnitude by that entry returns x exactly.
-    Only valid for an unaveraged gradient; for aggregates it yields the
-    corresponding blend of inputs."""
-    vec = observed.values if isinstance(observed, GradientVector) else np.asarray(observed, float)
-    dw, db = _split_gradient(vec, model)
-    c = int(np.argmax(np.abs(db)))
-    if abs(db[c]) < 1e-12:
-        raise ValueError("bias gradient is zero; input is not recoverable")
-    return dw[c] / db[c]
+    return np.concatenate([np.outer(a, x).ravel(), a])
 
 
 def invert_gradient(
@@ -215,25 +196,36 @@ def invert_gradient(
     ``observed`` is one gradient of length ``model.dim`` or a stack of
     them, one per row; ``label`` and ``seed`` then hold one entry per row.
     A single gradient is run as a batch of one and returns one ToyImage;
-    a stack returns a tuple of ToyImages in row order.
+    a stack returns a tuple of ToyImages in row order. A label outside
+    [0, classes) raises ValueError before any descent.
 
     Each row starts from a random dummy image drawn from its own seed and
     runs sign-of-gradient descent on the cosine dissimilarity between
     the dummy's gradient and its observed one, clamping to [0, 1] each
-    step. All rows descend together as matrices, but every step is
-    row-wise, and rows share only the model:
+    step. The dummy's gradient g = [a x^T, a], a = softmax(W x + b) - e_y,
+    is never formed. With the unit observation split once into O
+    (classes x pixels) and o_b, and ox = O x + o_b:
+      g . o_hat = a . ox,    |g|^2 = |a|^2 (|x|^2 + 1),
+    and -|g| d(1 - cos)/dx, which has the gradient's opposite sign, is
+      h = (p * v - p (p . v)) W + O^T a - (a . ox) / (|x|^2 + 1) x,
+      v = ox - (a . ox) / |a|^2 a.
+    Each step moves x by +step * sign(h) and builds only (rows x classes)
+    and (rows x pixels) arrays, none with a ``model.dim`` axis.
+    All rows descend together, but every step is row-wise, and rows
+    share only the model:
       - a zero observation carries no signal and returns its initial
         dummy unchanged;
-      - a row whose own gradient vanishes (a saturated prediction) stops
-        there for good, while the other rows go on;
+      - a row whose own gradient vanishes (a saturated prediction:
+        |a|^2, and so |g|^2, rounds to 0) stops there for good, while
+        the other rows go on;
       - a non-finite cosine on any running row raises RuntimeError,
         naming the row's index in ``observed``.
     Stopped rows leave the descent, so they cost nothing after they
     stop. So a row's result does not depend on what else is in its batch. A
     step moves each pixel by exactly -step, 0 or +step before the clamp,
-    so the batch's matrix products, whose rounding may differ from a
-    batch of one, could change a result only through a sign of a
-    gradient component within rounding of 0.
+    so the batch's products, whose rounding may differ from a batch of
+    one, could change a result only through a sign of a gradient
+    component within rounding of 0.
     """
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
@@ -244,7 +236,7 @@ def invert_gradient(
         if side * side != model.n_pixels:
             raise ValueError("pass image_shape for non-square images")
         image_shape = (side, side)
-    obs = observed.values if isinstance(observed, GradientVector) else np.asarray(observed, float)
+    obs = np.asarray(observed, float)
     single = obs.ndim == 1
     obs = np.atleast_2d(obs)
     labels = np.array([label] if single else label, dtype=int)
@@ -257,6 +249,11 @@ def invert_gradient(
         )
     if obs.shape[1] != model.dim:
         raise ValueError(f"gradient dim {obs.shape[1]} != model dim {model.dim}")
+    classes = model.n_classes
+    out_of_range = np.flatnonzero((labels < 0) | (labels >= classes))
+    if out_of_range.size:
+        row = out_of_range[0]
+        raise ValueError(f"label {labels[row]} of row {row} out of range for {classes} classes")
     obs_norm = np.linalg.norm(obs, axis=1)
     x = np.stack([np.random.default_rng(s).uniform(0.0, 1.0, model.n_pixels) for s in seeds])
 
@@ -266,46 +263,45 @@ def invert_gradient(
     # pixels are written back to x in row order.
     running = np.flatnonzero(obs_norm != 0.0)
     x_run = x[running]
-    run_labels = labels[running]
     obs_hat = obs[running] / obs_norm[running, None]
     w = model.w
-    cut = w.size
+    o_w = obs_hat[:, : w.size].reshape(len(running), *w.shape)
+    o_b = obs_hat[:, w.size:]
+    one_hot = np.eye(classes)[labels[running]]
     for it in range(iters):
         if not running.size:
             break
         step = lr * (0.1 ** ((it >= iters // 2) + (it >= 3 * iters // 4)))
         p = _softmax(x_run @ w.T + model.b)
-        a = p.copy()
-        a[np.arange(len(running)), run_labels] -= 1.0
-        g = np.concatenate(
-            [(a[:, :, None] * x_run[:, None, :]).reshape(len(running), cut), a], axis=1
-        )
-        g_norm = np.linalg.norm(g, axis=1)
-        if not g_norm.all():  # saturated prediction: no gradient signal left
-            keep = g_norm != 0.0
+        a = p - one_hot
+        a_sq = np.einsum("rc,rc->r", a, a)
+        if not a_sq.all():  # saturated prediction: no gradient signal left
+            keep = a_sq != 0.0
             x[running[~keep]] = x_run[~keep]
-            running, x_run, run_labels, obs_hat, p, a, g, g_norm = (
-                v[keep] for v in (running, x_run, run_labels, obs_hat, p, a, g, g_norm)
+            running, x_run, o_w, o_b, one_hot, p, a, a_sq = (
+                v[keep] for v in (running, x_run, o_w, o_b, one_hot, p, a, a_sq)
             )
             if not running.size:
                 break
-        g_hat = g / g_norm[:, None]
-        cos = np.einsum("rd,rd->r", g_hat, obs_hat)
-        bad = ~np.isfinite(cos)
+        ox = (o_w @ x_run[:, :, None])[:, :, 0] + o_b
+        dot = np.einsum("rc,rc->r", a, ox)  # |g| cos
+        x_sq1 = np.einsum("rq,rq->r", x_run, x_run) + 1.0
+        bad = ~np.isfinite(dot)
         if bad.any():
+            cos = dot / np.sqrt(a_sq * x_sq1)
             raise RuntimeError(
                 f"gradient matching diverged at iteration {it}: "
                 f"cosine={cos[bad][0]} (row {running[bad][0]})"
             )
-        # d(1 - cos)/dx via the chain rule through g(x); S is the
-        # softmax Jacobian diag(p) - p p^T.
-        v = -(obs_hat - cos[:, None] * g_hat) / g_norm[:, None]
-        v_w = v[:, :cut].reshape(len(running), *w.shape)
-        v_b = v[:, cut:]
-        u = np.einsum("rcq,rq->rc", v_w, x_run) + v_b
-        s_u = p * u - p * np.einsum("rc,rc->r", p, u)[:, None]
-        grad_x = s_u @ w + np.einsum("rcq,rc->rq", v_w, a)
-        x_run = np.clip(x_run - step * np.sign(grad_x), 0.0, 1.0)
+        # h = -|g| d(1 - cos)/dx via the chain rule through g(x); the
+        # softmax Jacobian diag(p) - p p^T acts on v = ox - (dot/|a|^2) a.
+        pv = p * (ox - (dot / a_sq)[:, None] * a)
+        h = (
+            (pv - p * pv.sum(axis=1, keepdims=True)) @ w
+            + (a[:, None, :] @ o_w)[:, 0]
+            - (dot / x_sq1)[:, None] * x_run
+        )
+        x_run = np.clip(x_run + step * np.sign(h), 0.0, 1.0)
     x[running] = x_run
     images = tuple(
         ToyImage(pixels=x[r].reshape(image_shape), label=int(labels[r]))
@@ -402,7 +398,7 @@ def attack_experiment(
         w=0.01 * rng.standard_normal((classes, height * width)),
         b=np.zeros(classes),
     )
-    grads = np.stack([toy_gradient(model, img).values for img in images])
+    grads = np.stack([toy_gradient(model, img) for img in images])
     nodes = [node for node in range(n) if node != corrupt_node]
     observed = []
     for mode, graph, weights in views:

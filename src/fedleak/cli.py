@@ -296,9 +296,9 @@ def _summary_series(summary_rows, value_idx: int) -> list[Series]:
 def cmd_attack(args: argparse.Namespace) -> int:
     opts = _Options(args)
     seed = opts.get("seed", 0, int)
-    n = opts.get("n", 10, int)
+    n = opts.get("n", None, int)
     modes = opts.get("modes", ALL_MODES, _parse_modes)
-    densities = opts.get("densities", (0.4, 0.8, 1.0), _parse_float_list)
+    densities = opts.get("densities", None, _parse_float_list)
     n_seeds = opts.get("seeds", 1, int)
     iters = opts.get("iters", 1000, int)
     lr = opts.get("lr", 0.1, float)
@@ -309,9 +309,24 @@ def cmd_attack(args: argparse.Namespace) -> int:
     needs_topology = any(m.decentralized for m in modes)
     fixed_graph = None
     if graph_file:
+        # --n and --densities may only restate the graph's own values
         fixed_graph = read_edge_list(graph_file)
+        if n is not None and n != fixed_graph.n:
+            raise UsageError(
+                f"--n: {n} differs from the {fixed_graph.n} nodes of the graph file"
+            )
+        if densities is not None and densities != (fixed_graph.density,):
+            given = ",".join(repr(float(d)) for d in densities)
+            raise UsageError(
+                f"--densities: {given} differs from the graph file's density "
+                f"{fixed_graph.density!r}"
+            )
         n = fixed_graph.n
         densities = (fixed_graph.density,)
+    if n is None:
+        n = 10
+    if densities is None:
+        densities = (0.4, 0.8, 1.0)
     if needs_topology and not densities:
         raise UsageError(
             "modes dfl/dfl_sa need a topology: pass --densities or --graph-file"

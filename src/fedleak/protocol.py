@@ -27,7 +27,6 @@ zeros), so V needs no second per-mode definition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Container
 
@@ -38,7 +37,6 @@ from .topology import Graph, WeightMatrix
 __all__ = [
     "Mode",
     "ALL_MODES",
-    "GradientVector",
     "extract_observation",
     "view_matrix",
 ]
@@ -70,21 +68,6 @@ class Mode(str, Enum):
 
 
 ALL_MODES = (Mode.CFL, Mode.CFL_SA, Mode.DFL, Mode.DFL_SA)
-
-
-@dataclass(frozen=True)
-class GradientVector:
-    """A node's local gradient."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1:
-            raise ValueError(f"gradient must be 1-d, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("gradient has non-finite entries")
-        object.__setattr__(self, "values", v)
 
 
 def extract_observation(

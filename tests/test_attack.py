@@ -6,12 +6,12 @@ from fedleak.attack import (
     ToyImage,
     ToyModel,
     attack_experiment,
-    exact_input_from_gradient,
     invert_gradient,
     make_blob_dataset,
     ssim,
     toy_gradient,
 )
+from fedleak.cli import EXIT_OK, main
 from fedleak.leakage import cell_seed_sequences
 from fedleak.protocol import Mode
 from fedleak.topology import generate_graph, metropolis_weights
@@ -58,6 +58,17 @@ def finite_difference_gradient(model, img, h=1e-5):
     return grad
 
 
+def exact_input_from_gradient(observed, model):
+    """Closed-form input recovery from a single-sample gradient.
+
+    Each row of dW equals (p - e_y)_c * x, so dividing the row with the
+    largest bias-gradient magnitude by that entry returns x exactly."""
+    cut = model.w.size
+    dw, db = observed[:cut].reshape(model.w.shape), observed[cut:]
+    c = int(np.argmax(np.abs(db)))
+    return dw[c] / db[c]
+
+
 class TestToyTypes:
     def test_pixels_must_be_in_unit_range(self):
         with pytest.raises(ValueError, match="0, 1"):
@@ -87,20 +98,20 @@ class TestToyGradient:
         b = np.full(4, -50.0)
         b[img.label] = 50.0
         model = ToyModel(w=np.zeros((4, 64)), b=b)
-        assert np.abs(toy_gradient(model, img).values).max() < 1e-12
+        assert np.abs(toy_gradient(model, img)).max() < 1e-12
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_central_finite_differences(self, seed):
         model = random_model(seed)
         img = make_blob_dataset(1, seed=seed)[0]
-        analytic = toy_gradient(model, img).values
+        analytic = toy_gradient(model, img)
         numeric = finite_difference_gradient(model, img)
         assert np.abs(analytic - numeric).max() < 1e-6
 
     def test_bias_gradient_sums_to_zero(self):
         model = random_model(5)
         img = make_blob_dataset(1, seed=5)[0]
-        db = toy_gradient(model, img).values[-4:]
+        db = toy_gradient(model, img)[-4:]
         assert abs(db.sum()) < 1e-12
 
     def test_closed_form_recovery_is_exact(self):
@@ -122,7 +133,7 @@ class TestInvertGradient:
     def test_averaged_gradient_reconstructs_worse(self):
         model = random_model(0, scale=0.02)
         images = make_blob_dataset(10, seed=4)
-        grads = np.stack([toy_gradient(model, im).values for im in images])
+        grads = np.stack([toy_gradient(model, im) for im in images])
         target = images[3]
         exact = invert_gradient(grads[3], model, label=target.label, seed=2)
         blurred = invert_gradient(
@@ -146,13 +157,16 @@ class TestInvertGradient:
         assert np.array_equal(a.pixels, b.pixels)
 
 
-def reference_inversion(observed, model, label, iters, seed, lr=0.1):
+def reference_descent(observed, model, label, iters, seed, lr=0.1):
     """The one-target descent loop that the batch replaced, kept as the
-    reference: gemv products and a break on a zero gradient."""
+    reference: gemv products, the dense gradient g and a break on a zero
+    gradient. Yields the dummy before the first step and after each step
+    it takes."""
     x = np.random.default_rng(seed).uniform(0.0, 1.0, model.n_pixels)
+    yield x
     obs_norm = np.linalg.norm(observed)
     if obs_norm == 0.0:
-        return x
+        return
     obs_hat = observed / obs_norm
     cut = model.w.size
     for it in range(iters):
@@ -165,19 +179,45 @@ def reference_inversion(observed, model, label, iters, seed, lr=0.1):
         g = np.concatenate([np.outer(a, x).ravel(), a])
         g_norm = np.linalg.norm(g)
         if g_norm == 0.0:
-            break
+            return
         g_hat = g / g_norm
         v = -(obs_hat - (g_hat @ obs_hat) * g_hat) / g_norm
         v_w = v[:cut].reshape(model.w.shape)
         u = v_w @ x + v[cut:]
         grad_x = model.w.T @ (p * u - p * (p @ u)) + v_w.T @ a
         x = np.clip(x - step * np.sign(grad_x), 0.0, 1.0)
+        yield x
+
+
+def reference_inversion(observed, model, label, iters, seed, lr=0.1):
+    """The reference loop's final dummy."""
+    *_, x = reference_descent(observed, model, label, iters, seed, lr)
     return x
+
+
+def steps_taken(observed, model, label, iters, seed):
+    """How many steps the reference loop takes before it stops."""
+    return sum(1 for _ in reference_descent(observed, model, label, iters, seed)) - 1
 
 
 def dummy(seed, pixels=64):
     """The starting image invert_gradient draws for one row's seed."""
     return np.random.default_rng(seed).uniform(0.0, 1.0, pixels)
+
+
+def saturating_model():
+    """A model that a row labelled 3 can saturate, and the gradients of
+    make_blob_dataset(8, seed=4) under it.
+
+    Class 3 reads pixel 0 with a huge weight: a dummy whose pixel 0
+    exceeds 0.75 predicts class 3 with probability exactly 1, so a row
+    labelled 3 there has a zero gradient."""
+    model = random_model(0, scale=0.02)
+    w, b = model.w.copy(), model.b.copy()
+    w[3, 0], b[3] = 4000.0, -2000.0
+    model = ToyModel(w=w, b=b)
+    images = make_blob_dataset(8, seed=4)
+    return model, np.stack([toy_gradient(model, im) for im in images])
 
 
 class TestInvertGradientBatch:
@@ -186,15 +226,7 @@ class TestInvertGradientBatch:
 
     @pytest.fixture(scope="class")
     def batch(self):
-        # Class 3 reads pixel 0 with a huge weight: a dummy whose pixel 0
-        # exceeds 0.75 predicts class 3 with probability exactly 1, so a
-        # row labelled 3 starts with a zero gradient.
-        model = random_model(0, scale=0.02)
-        w, b = model.w.copy(), model.b.copy()
-        w[3, 0], b[3] = 4000.0, -2000.0
-        model = ToyModel(w=w, b=b)
-        images = make_blob_dataset(8, seed=4)
-        grads = np.stack([toy_gradient(model, im).values for im in images])
+        model, grads = saturating_model()
         saturated_seed = next(s for s in range(100, 200) if dummy(s)[0] > 0.75)
         observed = np.stack(
             [
@@ -212,7 +244,7 @@ class TestInvertGradientBatch:
     def test_saturated_row_starts_with_zero_gradient(self, batch):
         model, _, _, seeds, _ = batch
         start = ToyImage(pixels=dummy(seeds[3]).reshape(8, 8), label=3)
-        assert not np.any(toy_gradient(model, start).values)
+        assert not np.any(toy_gradient(model, start))
 
     def test_each_row_equals_its_batch_of_one(self, batch):
         model, observed, labels, seeds, recons = batch
@@ -266,6 +298,23 @@ class TestInvertGradientBatch:
         with pytest.raises(RuntimeError, match=r"\(row 1\)"):
             invert_gradient(bad, model, [labels[2], labels[0]], iters=5, seed=[seeds[2], seeds[0]])
 
+    @pytest.mark.parametrize(
+        "label, zero_row", [(4, False), (-1, False), (7, True)], ids=["4", "-1", "7-zero-row"]
+    )
+    def test_label_out_of_range_rejected_before_descent(self, monkeypatch, label, zero_row):
+        # a zero observation never descends, but its label is checked too
+        model = random_model(1, scale=0.02)
+        observed = np.ones((2, model.dim))
+        if zero_row:
+            observed[1] = 0.0
+
+        def no_descent(z):
+            raise AssertionError("the descent started")
+
+        monkeypatch.setattr(attack, "_softmax", no_descent)
+        with pytest.raises(ValueError, match=f"label {label} of row 1 out of range for 4 classes"):
+            invert_gradient(observed, model, [0, label], iters=5, seed=[0, 1])
+
     def test_one_label_and_seed_per_row(self, batch):
         model, observed, labels, seeds, _ = batch
         with pytest.raises(ValueError, match="one label and one seed per observed row"):
@@ -279,6 +328,85 @@ class TestInvertGradientBatch:
         model = random_model(1, scale=0.02)
         with pytest.raises(ValueError, match="iters must be >= 1|lr must be finite"):
             invert_gradient(np.ones(model.dim), model, 0, iters=iters, lr=lr)
+
+
+class TestSaturationMidDescent:
+    """A row that saturates after some steps leaves the batch then, and
+    the rows after it go on as if it had never been there."""
+
+    ITERS = 200
+
+    @pytest.fixture(scope="class")
+    def batch(self):
+        model, grads = saturating_model()
+        # a dummy labelled 3 matched against an image of class 3 pushes
+        # pixel 0 up until the prediction saturates
+        saturating_seed = next(
+            s for s in range(100, 200)
+            if 0 < steps_taken(grads[7], model, 3, self.ITERS, s) < self.ITERS // 2
+        )
+        observed = np.stack([grads[0], grads[7], grads[1], grads[[1, 2, 5, 6]].mean(axis=0)])
+        labels = [0, 3, 1, 1]
+        seeds = [11, saturating_seed, 12, 13]
+        recons = invert_gradient(observed, model, labels, iters=self.ITERS, seed=seeds)
+        return model, observed, labels, seeds, recons
+
+    def test_row_saturates_mid_descent(self, batch):
+        model, observed, labels, seeds, recons = batch
+        start = ToyImage(pixels=dummy(seeds[1]).reshape(8, 8), label=3)
+        assert np.any(toy_gradient(model, start))
+        # where it stops, its gradient's norm underflows to 0
+        assert np.linalg.norm(toy_gradient(model, recons[1])) == 0.0
+        assert not np.array_equal(recons[1].pixels, start.pixels)
+
+    def test_each_row_equals_its_batch_of_one_and_the_reference(self, batch):
+        model, observed, labels, seeds, recons = batch
+        for row, recon in enumerate(recons):
+            alone = invert_gradient(
+                observed[row], model, labels[row], iters=self.ITERS, seed=seeds[row]
+            )
+            expected = reference_inversion(
+                observed[row], model, labels[row], self.ITERS, seeds[row]
+            )
+            assert np.array_equal(recon.pixels, alone.pixels), row
+            assert np.array_equal(recon.pixels.ravel(), expected), row
+
+    def test_rows_after_it_are_unaffected(self, batch):
+        model, observed, labels, seeds, recons = batch
+        rest = [0, 2, 3]
+        without = invert_gradient(
+            observed[rest], model, [labels[r] for r in rest], iters=self.ITERS,
+            seed=[seeds[r] for r in rest],
+        )
+        for row, recon in zip(rest, without):
+            assert np.array_equal(recons[row].pixels, recon.pixels), row
+
+
+class TestWorkloadBatch:
+    """The benchmark's attack batch (n=6, corrupt node 0, seed 0, every
+    mode at densities 0.4, 0.8 and 1.0) matches the one-target loop."""
+
+    ITERS = 300
+
+    def test_every_row_equals_the_one_target_loop(self, tmp_path, monkeypatch):
+        calls = []
+        real = attack.invert_gradient
+
+        def spy(observed, model, label, **kwargs):
+            recons = real(observed, model, label, **kwargs)
+            calls.append((observed, model, label, kwargs["seed"], recons))
+            return recons
+
+        monkeypatch.setattr(attack, "invert_gradient", spy)
+        argv = ["attack", "--seed", "0", "--modes", "cfl,cfl_sa,dfl,dfl_sa", "--n", "6",
+                "--densities", "0.4,0.8,1.0", "--iters", str(self.ITERS), "--corrupt", "0",
+                "--seeds", "1", "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == EXIT_OK
+        ((observed, model, labels, seeds, recons),) = calls
+        assert len(recons) == 40
+        for row, recon in enumerate(recons):
+            expected = reference_inversion(observed[row], model, labels[row], self.ITERS, seeds[row])
+            assert np.array_equal(recon.pixels.ravel(), expected), row
 
 
 class TestSsim:
@@ -422,7 +550,7 @@ class TestOneRoundView:
 
             def gradient_spy(model, img):
                 grad = real_gradient(model, img)
-                seen.setdefault("grads", []).append(grad.values)
+                seen.setdefault("grads", []).append(grad)
                 return grad
 
             def invert_spy(observed, *args, **kwargs):

@@ -12,6 +12,7 @@ import fedleak
 from fedleak import attack, leakage
 from fedleak.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VERIFY_FAILED, main
 from fedleak.reporting import read_csv, write_csv
+from fedleak.topology import generate_graph, read_edge_list, write_edge_list
 
 SMALL_SWEEP = ["--n", "4", "--densities", "1.0", "--samples", "100"]
 
@@ -114,6 +115,53 @@ class TestUsageErrors:
         assert message in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.fixture
+    def graph_file(self, tmp_path):
+        """A 6-node graph file of density 0.6."""
+        path = tmp_path / "graph.txt"
+        write_edge_list(generate_graph(6, 0.6, 0), path)
+        assert read_edge_list(path).density == 0.6
+        return path
+
+    @pytest.mark.parametrize(
+        "argv, config, message",
+        [
+            (["--n", "4", "--densities", "0.5"], "", "--n: 4 differs from the 6 nodes"),
+            (["--densities", "0.5"], "", "--densities: 0.5 differs from the graph file's density 0.6"),
+            (["--densities", "0.6,1.0"], "", "--densities: 0.6,1.0 differs"),
+            ([], "n=4\n", "--n: 4 differs from the 6 nodes"),
+            ([], "densities=0.5\n", "--densities: 0.5 differs"),
+        ],
+        ids=["flag-n", "flag-density", "flag-extra-density", "config-n", "config-density"],
+    )
+    def test_graph_file_conflict_exits_before_any_work(
+        self, tmp_path, capsys, graph_file, argv, config, message
+    ):
+        out = tmp_path / "out"
+        if config:
+            (tmp_path / "config.txt").write_text(config)
+            argv = [*argv, "--config", str(tmp_path / "config.txt")]
+        argv = ["attack", *argv, "--graph-file", str(graph_file), "--iters", "5",
+                "--out-dir", str(out)]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert not out.exists()
+
+    def test_graph_file_run_replays_from_its_manifest(self, tmp_path, graph_file):
+        # the manifest restates the graph's n and density, which must pass
+        first, second = tmp_path / "first", tmp_path / "second"
+        argv = ["attack", "--n", "6", "--densities", "0.6", "--graph-file", str(graph_file),
+                "--iters", "5", "--out-dir", str(first)]
+        assert main(argv) == EXIT_OK
+        assert "n=6\n" in (first / "manifest.txt").read_text()
+        rerun = ["attack", "--config", str(first / "manifest.txt"), "--out-dir", str(second)]
+        assert main(rerun) == EXIT_OK
+        files = output_files(first)
+        assert output_files(second) == files
+        for name in files:
+            assert (second / name).read_bytes() == (first / name).read_bytes(), name
 
     def test_analytic_only_flag_removed(self, tmp_path, capsys):
         # `fedleak analytic` writes the closed forms
