@@ -21,7 +21,6 @@ from .attack import (
 from .infotheory import (
     MIEstimate,
     SampleMatrix,
-    gaussian_entropy,
     gaussian_view_mi,
     knn_cmi,
     knn_mi,
@@ -40,9 +39,7 @@ from .topology import (
     Graph,
     WeightMatrix,
     generate_graph,
-    graph_density,
     metropolis_weights,
     read_edge_list,
-    validate_weight_matrix,
     write_edge_list,
 )

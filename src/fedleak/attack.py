@@ -61,9 +61,12 @@ __all__ = [
     "attack_experiment",
 ]
 
-DEFAULT_HEIGHT = 8
-DEFAULT_WIDTH = 8
-DEFAULT_CLASSES = 4
+# The synthetic images: size, class count, pixel noise and blob jitter.
+_HEIGHT = 8
+_WIDTH = 8
+_CLASSES = 4
+_NOISE = 0.12
+_JITTER = 1.6
 
 
 @dataclass(frozen=True)
@@ -129,24 +132,17 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _blob(cr: float, cc: float, height: int, width: int) -> np.ndarray:
-    rows = np.arange(height)[:, None]
-    cols = np.arange(width)[None, :]
+def _blob(cr: float, cc: float) -> np.ndarray:
+    rows = np.arange(_HEIGHT)[:, None]
+    cols = np.arange(_WIDTH)[None, :]
     return np.exp(-((rows - cr) ** 2 + (cols - cc) ** 2) / (2.0 * 1.3**2))
 
 
-def make_blob_dataset(
-    count: int,
-    seed,
-    height: int = DEFAULT_HEIGHT,
-    width: int = DEFAULT_WIDTH,
-    classes: int = DEFAULT_CLASSES,
-    noise: float = 0.12,
-    jitter: float = 1.6,
-) -> list[ToyImage]:
-    """Synthetic labeled images: one Gaussian blob per image, centered
-    near its class's anchor position (a ring around the image center)
-    with a per-image jitter, plus pixel noise.
+def make_blob_dataset(count: int, seed) -> list[ToyImage]:
+    """Synthetic labeled images of _HEIGHT x _WIDTH pixels: one
+    Gaussian blob per image, centered near its class's anchor position
+    (a ring around the image center) with a per-image jitter, plus
+    pixel noise.
 
     The jitter keeps images of the same class individually distinct, so
     averaged gradients blur toward a class smear instead of any single
@@ -155,14 +151,14 @@ def make_blob_dataset(
     rng = np.random.default_rng(seed)
     images = []
     for idx in range(count):
-        label = idx % classes
-        angle = 2.0 * math.pi * label / classes
-        cr = height / 2.0 - 0.5 + 0.28 * height * math.sin(angle)
-        cc = width / 2.0 - 0.5 + 0.28 * width * math.cos(angle)
-        cr += rng.uniform(-jitter, jitter)
-        cc += rng.uniform(-jitter, jitter)
-        base = 0.9 * _blob(cr, cc, height, width)
-        pixels = np.clip(base + noise * rng.standard_normal((height, width)), 0.0, 1.0)
+        label = idx % _CLASSES
+        angle = 2.0 * math.pi * label / _CLASSES
+        cr = _HEIGHT / 2.0 - 0.5 + 0.28 * _HEIGHT * math.sin(angle)
+        cc = _WIDTH / 2.0 - 0.5 + 0.28 * _WIDTH * math.cos(angle)
+        cr += rng.uniform(-_JITTER, _JITTER)
+        cc += rng.uniform(-_JITTER, _JITTER)
+        base = 0.9 * _blob(cr, cc)
+        pixels = np.clip(base + _NOISE * rng.standard_normal((_HEIGHT, _WIDTH)), 0.0, 1.0)
         images.append(ToyImage(pixels=pixels, label=label))
     return images
 
@@ -189,15 +185,16 @@ def invert_gradient(
     iters: int = 1000,
     lr: float = 0.1,
     seed=0,
-    image_shape: tuple[int, int] | None = None,
 ) -> ToyImage | tuple[ToyImage, ...]:
     """Reconstruct inputs whose gradients match the observed vectors.
 
     ``observed`` is one gradient of length ``model.dim`` or a stack of
     them, one per row; ``label`` and ``seed`` then hold one entry per row.
     A single gradient is run as a batch of one and returns one ToyImage;
-    a stack returns a tuple of ToyImages in row order. A label outside
-    [0, classes) raises ValueError before any descent.
+    a stack returns a tuple of ToyImages in row order. The images are
+    square, of side sqrt(model.n_pixels); a model whose pixel count is
+    not a square, or a label outside [0, classes), raises ValueError
+    before any descent.
 
     Each row starts from a random dummy image drawn from its own seed and
     runs sign-of-gradient descent on the cosine dissimilarity between
@@ -231,11 +228,9 @@ def invert_gradient(
         raise ValueError(f"iters must be >= 1, got {iters}")
     if not (math.isfinite(lr) and lr > 0.0):
         raise ValueError(f"lr must be finite and > 0, got {lr!r}")
-    if image_shape is None:
-        side = math.isqrt(model.n_pixels)
-        if side * side != model.n_pixels:
-            raise ValueError("pass image_shape for non-square images")
-        image_shape = (side, side)
+    side = math.isqrt(model.n_pixels)
+    if side * side != model.n_pixels:
+        raise ValueError(f"model has {model.n_pixels} pixels, not a square image")
     obs = np.asarray(observed, float)
     single = obs.ndim == 1
     obs = np.atleast_2d(obs)
@@ -304,7 +299,7 @@ def invert_gradient(
         x_run = np.clip(x_run + step * np.sign(h), 0.0, 1.0)
     x[running] = x_run
     images = tuple(
-        ToyImage(pixels=x[r].reshape(image_shape), label=int(labels[r]))
+        ToyImage(pixels=x[r].reshape(side, side), label=int(labels[r]))
         for r in range(rows)
     )
     return images[0] if single else images
@@ -350,7 +345,6 @@ class TargetReconstruction:
 @dataclass(frozen=True)
 class AttackResult:
     mode: Mode
-    corrupt_node: int
     targets: tuple[TargetReconstruction, ...]
     average_ssim: float
 
@@ -362,9 +356,6 @@ def attack_experiment(
     corrupt_node: int = 0,
     iters: int = 1000,
     lr: float = 0.1,
-    height: int = DEFAULT_HEIGHT,
-    width: int = DEFAULT_WIDTH,
-    classes: int = DEFAULT_CLASSES,
 ) -> list[AttackResult]:
     """Reconstruct every honest node's image under each view and score it.
 
@@ -392,11 +383,11 @@ def attack_experiment(
         raise ValueError("need at least one view")
     root = np.random.SeedSequence(entropy=(int(seed), 0x617474))
     data_ss, model_ss = root.spawn(2)
-    images = make_blob_dataset(n, data_ss, height, width, classes)
+    images = make_blob_dataset(n, data_ss)
     rng = np.random.default_rng(model_ss)
     model = ToyModel(
-        w=0.01 * rng.standard_normal((classes, height * width)),
-        b=np.zeros(classes),
+        w=0.01 * rng.standard_normal((_CLASSES, _HEIGHT * _WIDTH)),
+        b=np.zeros(_CLASSES),
     )
     grads = np.stack([toy_gradient(model, img) for img in images])
     nodes = [node for node in range(n) if node != corrupt_node]
@@ -418,7 +409,6 @@ def attack_experiment(
             np.random.SeedSequence(entropy=(int(seed), int(node)))
             for node in nodes
         ] * len(views),
-        image_shape=(height, width),
     )
 
     results = []
@@ -437,7 +427,6 @@ def attack_experiment(
         results.append(
             AttackResult(
                 mode=mode,
-                corrupt_node=corrupt_node,
                 targets=targets,
                 average_ssim=float(np.mean([t.ssim for t in targets])),
             )

@@ -27,7 +27,7 @@ from .leakage import (
     ExperimentConfig,
     LeakageReport,
     analytic_cell_average,
-    cell_seed_sequences,
+    cell_topology,
     run_experiment,
     verify_proposition1,
 )
@@ -43,7 +43,6 @@ from .reporting import (
     write_pgm,
 )
 from .topology import (
-    generate_graph,
     metropolis_weights,
     min_connected_density,
     read_edge_list,
@@ -78,12 +77,13 @@ class _Options:
     def __init__(self, args: argparse.Namespace):
         self.args = vars(args)
         config_path = self.args.get("config")
-        self.config = read_keyvalue(config_path) if config_path else {}
+        try:
+            self.config = read_keyvalue(config_path) if config_path else {}
+        except (OSError, ValueError) as exc:  # unreadable, or not key=value lines
+            raise UsageError(f"--config: {exc}") from exc
 
     def get(self, key: str, default, cast):
         flag = self.args.get(key)
-        if flag is not None and not isinstance(flag, str):
-            return flag  # store_const flags arrive typed
         if flag is not None:
             source, text = "--" + key.replace("_", "-"), flag
         elif key in self.config:
@@ -310,7 +310,12 @@ def cmd_attack(args: argparse.Namespace) -> int:
     fixed_graph = None
     if graph_file:
         # --n and --densities may only restate the graph's own values
-        fixed_graph = read_edge_list(graph_file)
+        try:
+            fixed_graph = read_edge_list(graph_file)
+        except (OSError, ValueError) as exc:  # unreadable, or not an edge list
+            raise UsageError(f"--graph-file: {exc}") from exc
+        if not fixed_graph.is_connected:
+            raise UsageError(f"--graph-file: the graph in {graph_file} is not connected")
         if n is not None and n != fixed_graph.n:
             raise UsageError(
                 f"--n: {n} differs from the {fixed_graph.n} nodes of the graph file"
@@ -368,13 +373,10 @@ def cmd_attack(args: argparse.Namespace) -> int:
     views = {}  # view key -> (mode, graph, weights)
     for density in densities:
         graph = weights = None
-        if needs_topology:
-            if fixed_graph is not None:
-                graph = fixed_graph
-            else:
-                _, graph_seed, _ = cell_seed_sequences(seed, n, density)
-                graph = generate_graph(n, density, graph_seed)
-            weights = metropolis_weights(graph)
+        if needs_topology and fixed_graph is None:
+            graph, weights = cell_topology(seed, n, density)
+        elif needs_topology:
+            graph, weights = fixed_graph, metropolis_weights(fixed_graph)
         for mode in modes:
             view = (mode, graph, weights) if mode.decentralized else (mode, None, None)
             key = (mode, density) if mode.decentralized else (mode,)
@@ -456,7 +458,7 @@ def _report_from_summary_csv(path: str) -> LeakageReport:
         raise ValueError(
             f"{path}:1: summary header must contain {sorted(needed)}, got {header}"
         )
-    report = LeakageReport(config=None)
+    report = LeakageReport()
     for row, lineno in zip(rows, numbers):
         try:
             report.summary.append(
@@ -562,16 +564,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", dest="out_dir", help="output directory")
         p.add_argument("--n", help="comma-separated node counts (or one count)")
         p.add_argument("--densities", help="comma-separated target densities")
+
+    def add_modes(p):
         p.add_argument("--modes", help="comma-separated subset of cfl,cfl_sa,dfl,dfl_sa")
 
     sim = sub.add_parser("simulate", help="run the leakage sweep")
     add_common(sim)
+    add_modes(sim)
     sim.add_argument("--samples", help="Monte-Carlo draws per variable")
     sim.add_argument("--knn-k", dest="knn_k", help="kNN estimator neighbor count")
     sim.set_defaults(func=cmd_simulate)
 
     atk = sub.add_parser("attack", help="run the gradient-inversion attack grid")
     add_common(atk)
+    add_modes(atk)
     atk.add_argument("--seeds", help="number of seeds to average over")
     atk.add_argument("--iters", help="attack iterations")
     atk.add_argument("--lr", help="attack learning rate")

@@ -39,7 +39,6 @@ from scipy.spatial import cKDTree
 __all__ = [
     "SampleMatrix",
     "MIEstimate",
-    "gaussian_entropy",
     "gaussian_view_mi",
     "knn_mi",
     "knn_cmi",
@@ -51,7 +50,6 @@ class SampleMatrix:
     """Monte-Carlo draws, one column per scalar variable."""
 
     data: np.ndarray
-    labels: tuple[str, ...]
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=float)
@@ -59,23 +57,11 @@ class SampleMatrix:
             raise ValueError(f"sample matrix must be 2-d, got shape {data.shape}")
         if not np.all(np.isfinite(data)):
             raise ValueError("sample matrix has non-finite entries")
-        if len(self.labels) != data.shape[1]:
-            raise ValueError(
-                f"{len(self.labels)} labels for {data.shape[1]} columns"
-            )
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "labels", tuple(self.labels))
-
-    @property
-    def n_samples(self) -> int:
-        return self.data.shape[0]
 
     @property
     def n_variables(self) -> int:
         return self.data.shape[1]
-
-    def column(self, idx: int) -> np.ndarray:
-        return self.data[:, idx]
 
 
 @dataclass(frozen=True)
@@ -93,13 +79,6 @@ class MIEstimate:
 
     def __float__(self) -> float:
         return float(self.value)
-
-
-def gaussian_entropy(variance: float) -> float:
-    """Differential entropy of a Gaussian: 0.5 * ln(2*pi*e * variance)."""
-    if variance <= 0:
-        raise ValueError(f"variance must be positive, got {variance}")
-    return 0.5 * math.log(2.0 * math.pi * math.e * variance)
 
 
 def gaussian_view_mi(view) -> np.ndarray:

@@ -66,7 +66,6 @@ from .topology import (
     Graph,
     WeightMatrix,
     generate_graph,
-    graph_density,
     metropolis_weights,
     min_connected_density,
 )
@@ -86,6 +85,7 @@ __all__ = [
     "run_experiment",
     "analytic_cell_average",
     "cell_seed_sequences",
+    "cell_topology",
 ]
 
 # Multi-column observations (DFL's neighbor gradients) up to this many
@@ -122,7 +122,6 @@ class ExperimentConfig:
     k_nn: int = 3
     seed: int = 0
     modes: tuple[Mode, ...] = ALL_MODES
-    corrupt_subsample: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "n_values", tuple(int(v) for v in self.n_values))
@@ -157,8 +156,6 @@ class ExperimentConfig:
                     )
         if not self.densities:
             raise ValueError("densities is empty")
-        if self.corrupt_subsample is not None and self.corrupt_subsample < 1:
-            raise ValueError("corrupt_subsample must be >= 1 when set")
 
 
 @dataclass(frozen=True)
@@ -201,7 +198,6 @@ class CellSummary:
 
 @dataclass
 class LeakageReport:
-    config: ExperimentConfig | None
     pairs: list[PairLeakage] = field(default_factory=list)
     summary: list[CellSummary] = field(default_factory=list)
     graphs: dict[tuple[int, float], Graph] = field(default_factory=dict)
@@ -224,8 +220,7 @@ class LeakageReport:
 def draw_gradient_samples(n: int, samples: int, seed) -> SampleMatrix:
     """n independent standard-normal columns, reproducible per seed."""
     rng = np.random.default_rng(seed)
-    data = rng.standard_normal((samples, n))
-    return SampleMatrix(data=data, labels=tuple(f"g{i}" for i in range(n)))
+    return SampleMatrix(data=rng.standard_normal((samples, n)))
 
 
 class _CellEstimator:
@@ -430,14 +425,23 @@ def cell_seed_sequences(seed: int, n: int, density: float):
     """Independent RNG material for one sweep cell, keyed by its
     coordinates so cells can be recomputed in isolation.
 
-    Returns (sample seed sequence, graph seed int, subsample seed
-    sequence)."""
+    Returns (sample seed sequence, graph seed int, spare seed
+    sequence); nothing in fedleak draws from the spare one."""
     cell = np.random.SeedSequence(
         entropy=(int(seed), int(n), int(round(density * 1_000_000)))
     )
-    sample_ss, graph_ss, subsample_ss = cell.spawn(3)
+    sample_ss, graph_ss, spare_ss = cell.spawn(3)
     graph_seed = int(graph_ss.generate_state(1)[0])
-    return sample_ss, graph_seed, subsample_ss
+    return sample_ss, graph_seed, spare_ss
+
+
+def cell_topology(seed: int, n: int, density: float) -> tuple[Graph, WeightMatrix]:
+    """The sweep cell's graph, drawn from its graph seed, and the
+    graph's Metropolis weights. Every command that needs a cell's
+    topology takes it from here, so they all see the same graph."""
+    _, graph_seed, _ = cell_seed_sequences(seed, n, density)
+    graph = generate_graph(n, density, graph_seed)
+    return graph, metropolis_weights(graph)
 
 
 def analytic_cell_average(
@@ -445,17 +449,15 @@ def analytic_cell_average(
 ) -> tuple[float, float]:
     """Closed-form cell average and the realized graph density.
 
-    The graph for DFL_SA is derived from (seed, n, density) exactly as
-    run_experiment derives it, so analytic values line up with
-    estimated cells. Raises ValueError where no closed form exists.
+    The graph for DFL_SA is cell_topology's, as in run_experiment, so
+    analytic values line up with estimated cells. Raises ValueError
+    where no closed form exists.
     """
     graph = weights = None
     actual_density = math.nan
     if mode is Mode.DFL_SA:
-        _, graph_seed, _ = cell_seed_sequences(seed, n, density)
-        graph = generate_graph(n, density, graph_seed)
-        weights = metropolis_weights(graph)
-        actual_density = graph_density(graph)
+        graph, weights = cell_topology(seed, n, density)
+        actual_density = graph.density
     _, average = _closed_forms(mode, n, graph, weights)
     if math.isnan(average):
         raise ValueError(f"no closed form for mode {mode.value} at n={n}")
@@ -468,10 +470,8 @@ def _estimate_unit(unit: tuple) -> ModeLeakage:
     The pool pickles this function by name; the worker looks
     estimate_mode_leakage up when it runs, so a wrapper put in its place
     (a tracer's, a test's), which could not be pickled, still runs."""
-    mode, samples, graph, weights, k_nn, corrupt_nodes = unit
-    return estimate_mode_leakage(
-        mode, samples, graph=graph, weights=weights, k_nn=k_nn, corrupt_nodes=corrupt_nodes
-    )
+    mode, samples, graph, weights, k_nn = unit
+    return estimate_mode_leakage(mode, samples, graph=graph, weights=weights, k_nn=k_nn)
 
 
 def _init_worker() -> None:
@@ -527,42 +527,29 @@ def run_experiment(config: ExperimentConfig, progress=None) -> LeakageReport:
 
     Each cell derives its own RNG streams from (seed, n, density), so
     cells are independent of sweep order and may be recomputed in
-    isolation. The parent draws every cell's samples, graph, weights
-    and corrupt subsample in sweep order; each (cell, mode)
-    estimate_mode_leakage then runs on a pool of forked worker
-    processes (_pool_results), and the report is assembled in sweep
-    order from the results. No result depends on the number of
-    workers. progress, when given, is called as progress(done, total,
-    n, density) once all of a cell's estimates have arrived."""
-    report = LeakageReport(config=config)
+    isolation. The parent draws every cell's samples, graph and weights
+    in sweep order; each (cell, mode) estimate_mode_leakage then runs on
+    a pool of forked worker processes (_pool_results), and the report
+    is assembled in sweep order from the results. No result depends on
+    the number of workers. progress, when given, is called as
+    progress(done, total, n, density) once all of a cell's estimates
+    have arrived."""
+    report = LeakageReport()
     needs_graph = any(m.decentralized for m in config.modes)
     cells = []  # (n, density, graph, weights, actual density) in sweep order
     units = []  # estimate_mode_leakage arguments of each (cell, mode)
     for n in config.n_values:
         for density in config.densities:
-            sample_ss, graph_seed, subsample_ss = cell_seed_sequences(
-                config.seed, n, density
-            )
+            sample_ss, _, _ = cell_seed_sequences(config.seed, n, density)
             samples = draw_gradient_samples(n, config.samples, sample_ss)
             graph = w = None
             actual_density = math.nan
             if needs_graph:
-                graph = generate_graph(n, density, graph_seed)
-                w = metropolis_weights(graph)
-                actual_density = graph_density(graph)
+                graph, w = cell_topology(config.seed, n, density)
+                actual_density = graph.density
                 report.graphs[(n, density)] = graph
-            corrupt_nodes = None
-            if config.corrupt_subsample is not None and config.corrupt_subsample < n:
-                rng = np.random.default_rng(subsample_ss)
-                corrupt_nodes = sorted(
-                    int(v)
-                    for v in rng.choice(n, size=config.corrupt_subsample, replace=False)
-                )
             cells.append((n, density, graph, w, actual_density))
-            units += [
-                (mode, samples, graph, w, config.k_nn, corrupt_nodes)
-                for mode in config.modes
-            ]
+            units += [(mode, samples, graph, w, config.k_nn) for mode in config.modes]
 
     with _pool_results(units) as results:
         for done, (n, density, graph, w, actual_density) in enumerate(cells, 1):

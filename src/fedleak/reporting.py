@@ -88,8 +88,9 @@ def read_csv(path: str | Path) -> tuple[list[str], list[dict[str, str]], list[in
     return header, rows, numbers
 
 
-def write_pgm(path: str | Path, pixels: np.ndarray, maxval: int = 255) -> None:
-    """Plain-text portable graymap (P2) from pixels in [0, 1]."""
+def write_pgm(path: str | Path, pixels: np.ndarray) -> None:
+    """Plain-text portable graymap (P2), maxval 255, from pixels in [0, 1]."""
+    maxval = 255
     px = np.asarray(pixels, dtype=float)
     if px.ndim != 2:
         raise ValueError(f"pixels must be 2-d, got shape {px.shape}")
@@ -137,12 +138,11 @@ def svg_line_chart(
     title: str,
     x_label: str,
     y_label: str,
-    width: int = 780,
-    height: int = 480,
 ) -> str:
     """Minimal line chart: axes, ticks, one polyline per series, legend."""
     if not series:
         raise ValueError("no series to plot")
+    width, height = 780, 480
     left, right, top, bottom = 75, 200, 45, 55
     plot_w = width - left - right
     plot_h = height - top - bottom

@@ -25,16 +25,16 @@ import numpy as np
 __all__ = [
     "Graph",
     "WeightMatrix",
-    "WeightMatrixReport",
     "generate_graph",
-    "graph_density",
     "metropolis_weights",
-    "validate_weight_matrix",
-    "spectral_radius_residual",
     "min_connected_density",
     "write_edge_list",
     "read_edge_list",
 ]
+
+# Graphs generate_graph samples before it gives up on a connected one;
+# only densities barely above the spanning-tree bound come near it.
+_MAX_ATTEMPTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,8 @@ class Graph:
 
     @property
     def density(self) -> float:
-        return graph_density(self)
+        """Fraction of possible edges present: 2m / (n(n-1))."""
+        return 2.0 * self.m / (self.n * (self.n - 1))
 
     @cached_property
     def adjacency(self) -> np.ndarray:
@@ -122,34 +123,8 @@ class WeightMatrix:
             raise ValueError("mixing matrix has non-finite entries")
         object.__setattr__(self, "a", a)
 
-    @property
-    def n(self) -> int:
-        return self.a.shape[0]
-
     def row(self, k: int) -> np.ndarray:
         return self.a[k]
-
-
-@dataclass(frozen=True)
-class WeightMatrixReport:
-    """Per-condition validation outcome for a mixing matrix."""
-
-    sparsity_ok: bool
-    column_sums_ok: bool
-    row_sums_ok: bool
-    contraction_ok: bool
-    spectral_radius: float
-    max_column_error: float
-    max_row_error: float
-
-    @property
-    def all_ok(self) -> bool:
-        return (
-            self.sparsity_ok
-            and self.column_sums_ok
-            and self.row_sums_ok
-            and self.contraction_ok
-        )
 
 
 def min_connected_density(n: int) -> float:
@@ -157,17 +132,7 @@ def min_connected_density(n: int) -> float:
     return 2.0 * (n - 1) / (n * (n - 1))
 
 
-def graph_density(g: Graph) -> float:
-    """Fraction of possible edges present: 2m / (n(n-1))."""
-    return 2.0 * g.m / (g.n * (g.n - 1))
-
-
-def generate_graph(
-    n: int,
-    target_density: float,
-    seed: int,
-    max_attempts: int = 10_000,
-) -> Graph:
+def generate_graph(n: int, target_density: float, seed: int) -> Graph:
     """Sample a connected graph with edge count round(density * n(n-1)/2).
 
     Candidate node pairs are enumerated in canonical order and shuffled
@@ -178,7 +143,7 @@ def generate_graph(
 
     Raises ValueError when the density cannot give a connected graph
     (below the spanning-tree bound) or lies outside (0, 1], and
-    RuntimeError if no connected sample is found in max_attempts (only
+    RuntimeError if none of _MAX_ATTEMPTS samples is connected (only
     plausible for densities barely above the bound).
     """
     if n < 2:
@@ -195,13 +160,13 @@ def generate_graph(
         )
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     rng = np.random.default_rng(seed)
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         chosen = rng.permutation(len(pairs))[:m]
         g = Graph(n=n, edges=tuple(pairs[idx] for idx in sorted(chosen)))
         if g.is_connected:
             return g
     raise RuntimeError(
-        f"no connected graph with n={n}, m={m} found in {max_attempts} "
+        f"no connected graph with n={n}, m={m} found in {_MAX_ATTEMPTS} "
         f"attempts; density {target_density} is too close to the "
         f"connectivity threshold for rejection sampling"
     )
@@ -232,44 +197,6 @@ def metropolis_weights(g: Graph) -> WeightMatrix:
         a[i, j] = a[j, i] = w
     np.fill_diagonal(a, 1.0 - a.sum(axis=1))
     return WeightMatrix(a=a)
-
-
-def spectral_radius_residual(w: WeightMatrix | np.ndarray) -> float:
-    """Spectral radius of A - 11^T/n, from its eigenvalues.
-
-    Exact up to rounding, and correct for non-symmetric matrices too.
-    """
-    a = w.a if isinstance(w, WeightMatrix) else np.asarray(w, dtype=float)
-    return float(np.max(np.abs(np.linalg.eigvals(a - 1.0 / a.shape[0]))))
-
-
-def validate_weight_matrix(
-    w: WeightMatrix,
-    g: Graph,
-    tol: float = 1e-9,
-) -> WeightMatrixReport:
-    """Check graph sparsity, column/row stochasticity and contraction.
-
-    Reports pass/fail per condition at absolute tolerance tol instead
-    of raising; the spectral radius is that of A - 11^T/n.
-    """
-    a = w.a
-    if a.shape[0] != g.n:
-        raise ValueError(f"matrix is {a.shape[0]}x{a.shape[0]} but graph has n={g.n}")
-    off_graph = ~g.adjacency & ~np.eye(g.n, dtype=bool)
-    sparsity_ok = bool(np.all(np.abs(a[off_graph]) <= tol))
-    col_err = float(np.max(np.abs(a.sum(axis=0) - 1.0)))
-    row_err = float(np.max(np.abs(a.sum(axis=1) - 1.0)))
-    rho = spectral_radius_residual(w)
-    return WeightMatrixReport(
-        sparsity_ok=sparsity_ok,
-        column_sums_ok=bool(col_err <= tol),
-        row_sums_ok=bool(row_err <= tol),
-        contraction_ok=bool(rho < 1.0 - tol),
-        spectral_radius=rho,
-        max_column_error=col_err,
-        max_row_error=row_err,
-    )
 
 
 def write_edge_list(g: Graph, path: str | Path) -> None:

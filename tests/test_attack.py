@@ -12,9 +12,8 @@ from fedleak.attack import (
     toy_gradient,
 )
 from fedleak.cli import EXIT_OK, main
-from fedleak.leakage import cell_seed_sequences
+from fedleak.leakage import cell_topology
 from fedleak.protocol import Mode
-from fedleak.topology import generate_graph, metropolis_weights
 
 
 def random_model(seed, classes=4, pixels=64, scale=0.3):
@@ -329,6 +328,11 @@ class TestInvertGradientBatch:
         with pytest.raises(ValueError, match="iters must be >= 1|lr must be finite"):
             invert_gradient(np.ones(model.dim), model, 0, iters=iters, lr=lr)
 
+    def test_non_square_image_rejected(self):
+        model = random_model(1, pixels=60, scale=0.02)
+        with pytest.raises(ValueError, match="model has 60 pixels, not a square image"):
+            invert_gradient(np.ones(model.dim), model, 0, iters=5)
+
 
 class TestSaturationMidDescent:
     """A row that saturates after some steps leaves the batch then, and
@@ -443,9 +447,7 @@ class TestSsim:
 
 
 def quick_attack(mode, density, seed=0, n=10, iters=120):
-    _, graph_seed, _ = cell_seed_sequences(seed, n, density)
-    graph = generate_graph(n, density, graph_seed)
-    weights = metropolis_weights(graph)
+    graph, weights = cell_topology(seed, n, density)
     view = (mode, graph, weights) if mode.decentralized else (mode, None, None)
     (result,) = attack_experiment([view], n=n, seed=seed, iters=iters)
     return result
@@ -458,8 +460,7 @@ class TestAttackExperiment:
         assert all(-1.0 <= t.ssim <= 1.0 for t in result.targets)
 
     def test_neighbor_flags_follow_graph(self):
-        _, graph_seed, _ = cell_seed_sequences(0, 10, 0.4)
-        graph = generate_graph(10, 0.4, graph_seed)
+        graph, _ = cell_topology(0, 10, 0.4)
         result = quick_attack(Mode.DFL, 0.4)
         nbrs = set(int(j) for j in graph.neighbors(0))
         for t in result.targets:
@@ -498,9 +499,7 @@ class TestAttackExperiment:
         assert np.mean(gaps) > 0.05
 
     def test_multi_view_equals_views_run_alone(self):
-        _, graph_seed, _ = cell_seed_sequences(4, 7, 0.5)
-        graph = generate_graph(7, 0.5, graph_seed)
-        weights = metropolis_weights(graph)
+        graph, weights = cell_topology(4, 7, 0.5)
         views = [
             (Mode.CFL, None, None),
             (Mode.DFL, graph, weights),
@@ -536,9 +535,7 @@ class TestOneRoundView:
     def run(self):
         """One run of every mode, with the gradients and observations
         that attack_experiment built."""
-        _, graph_seed, _ = cell_seed_sequences(self.SEED, self.N, 0.4)
-        graph = generate_graph(self.N, 0.4, graph_seed)
-        weights = metropolis_weights(graph)
+        graph, weights = cell_topology(self.SEED, self.N, 0.4)
         views = [
             (Mode.CFL_SA, None, None),
             (Mode.DFL, graph, weights),

@@ -89,6 +89,7 @@ class TestUsageErrors:
                  "--iters", "5"],
                 "--modes: cfl is given more than once",
             ),
+            (["analytic", "--modes", "cfl", "--n", "4"], "unrecognized arguments: --modes cfl"),
         ],
         ids=[
             "analytic-density",
@@ -106,6 +107,7 @@ class TestUsageErrors:
             "simulate-repeated-mode",
             "analytic-repeated-n",
             "attack-repeated-mode",
+            "analytic-modes",
         ],
     )
     def test_bad_option_exits_before_any_work(self, tmp_path, capsys, argv, message):
@@ -147,6 +149,32 @@ class TestUsageErrors:
         assert main(argv) == EXIT_USAGE
         captured = capsys.readouterr()
         assert message in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, content, message",
+        [
+            (["simulate", *SMALL_SWEEP, "--config"], None, "--config: [Errno 2]"),
+            (["simulate", *SMALL_SWEEP, "--config"], "n=4\nsamples\n",
+             "--config: {path}:2: expected key=value"),
+            (["attack", "--iters", "5", "--graph-file"], None, "--graph-file: [Errno 2]"),
+            (["attack", "--iters", "5", "--graph-file"], "4 2\n0 1\n2 3\n",
+             "--graph-file: the graph in {path} is not connected"),
+            (["attack", "--iters", "5", "--graph-file"], "4 4\n0 1\n1 2\n2 3\n",
+             "--graph-file: {path}: header says m=4 but found 3 edges"),
+        ],
+        ids=["config-missing", "config-malformed", "graph-missing", "graph-disconnected",
+             "graph-edge-count"],
+    )
+    def test_bad_input_file_exits_before_any_work(self, tmp_path, capsys, argv, content, message):
+        path = tmp_path / "input.txt"
+        if content is not None:
+            path.write_text(content)
+        out = tmp_path / "out"
+        assert main([*argv, str(path), "--out-dir", str(out)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert message.format(path=path) in captured.err
+        assert captured.out == ""
         assert not out.exists()
 
     def test_graph_file_run_replays_from_its_manifest(self, tmp_path, graph_file):

@@ -12,14 +12,16 @@ from fedleak.leakage import (
     CellSummary,
     ExperimentConfig,
     LeakageReport,
+    analytic_cell_average,
     cell_seed_sequences,
+    cell_topology,
     draw_gradient_samples,
     estimate_mode_leakage,
     run_experiment,
     verify_proposition1,
 )
 from fedleak.protocol import ALL_MODES, Mode
-from fedleak.topology import Graph, generate_graph, graph_density, metropolis_weights
+from fedleak.topology import Graph, generate_graph, metropolis_weights
 
 
 def cfl_sa_closed_form(n):
@@ -68,9 +70,6 @@ class TestDrawGradientSamples:
         b = draw_gradient_samples(4, 200, seed=7)
         assert np.array_equal(a.data, b.data)
 
-    def test_labels(self):
-        assert draw_gradient_samples(3, 100, seed=0).labels == ("g0", "g1", "g2")
-
 
 @pytest.fixture(scope="module")
 def small_cell():
@@ -89,7 +88,7 @@ class TestEstimateModeLeakage:
         for corrupt, target, value in result.pairs:
             assert corrupt == -1
             assert value == pytest.approx(
-                knn_mi(samples.column(target), samples.column(target)).value
+                knn_mi(samples.data[:, target], samples.data[:, target]).value
             )
 
     def test_dfl_on_complete_graph_equals_cfl_average(self, small_cell):
@@ -106,7 +105,7 @@ class TestEstimateModeLeakage:
         cfl = estimate_mode_leakage(Mode.CFL, samples)
         dfl = estimate_mode_leakage(Mode.DFL, samples, graph=graph, weights=weights)
         assert dfl.average / cfl.average == pytest.approx(
-            graph_density(graph), abs=0.05
+            graph.density, abs=0.05
         )
 
     def test_cfl_sa_average_matches_closed_form(self):
@@ -129,9 +128,9 @@ class TestEstimateModeLeakage:
         for corrupt, target, _ in far:
             assert dfl_sa_closed_form(weights, corrupt, target) == 0.0
             row = weights.row(corrupt)
-            reduced = samples.data @ row - row[corrupt] * samples.column(corrupt)
+            reduced = samples.data @ row - row[corrupt] * samples.data[:, corrupt]
             for _ in range(2):
-                shuffled = rng.permutation(samples.column(target))
+                shuffled = rng.permutation(samples.data[:, target])
                 null.append(knn_mi(reduced, shuffled).value)
         sigma = float(np.std(null, ddof=1))
         values = np.array([p[2] for p in far])
@@ -176,7 +175,7 @@ class TestEstimateModeLeakage:
 
         def rounded(samples):
             # rounded to 0.1: tied distances and zero radii in every marginal
-            return SampleMatrix(data=np.round(samples.data, 1), labels=samples.labels)
+            return SampleMatrix(data=np.round(samples.data, 1))
 
         def check(samples, graph, modes, corrupt_nodes=None):
             data = samples.data
@@ -210,7 +209,7 @@ class TestEstimateModeLeakage:
         # every radius of some self term would be 0
         coarse = np.round(gaussian.data)
         coarse[0] = 10.0 + np.arange(n)
-        for samples in (gaussian, rounded(gaussian), SampleMatrix(coarse, gaussian.labels)):
+        for samples in (gaussian, rounded(gaussian), SampleMatrix(coarse)):
             for mode, result in check(samples, graph, ALL_MODES).items():
                 assert len(result.pairs) == (n if mode is Mode.CFL else n * (n - 1))
         # N = k + 1 has no candidate set; N = k + 2 has one of k + 1 points
@@ -308,10 +307,19 @@ class TestRunExperiment:
         for row in small_report.summary:
             assert -0.05 <= row.relative <= 1.05
 
+    def test_graph_and_closed_form_come_from_cell_topology(self, small_report):
+        graph, _ = cell_topology(9, 6, 0.6)
+        assert small_report.graphs[(6, 0.6)] == graph
+        row = small_report.cell(Mode.DFL_SA, 6, 0.6)
+        assert analytic_cell_average(Mode.DFL_SA, 6, 0.6, seed=9) == (
+            row.analytic_nats,
+            row.actual_density,
+        )
+
     def test_actual_density_recorded(self, small_report):
         cell = small_report.cell(Mode.DFL, 6, 0.6)
         graph = small_report.graphs[(6, 0.6)]
-        assert cell.actual_density == pytest.approx(graph_density(graph))
+        assert cell.actual_density == pytest.approx(graph.density)
 
     def test_deterministic_per_seed(self, small_report):
         config = ExperimentConfig(
@@ -401,7 +409,7 @@ class TestWorkerPool:
 
 def synthetic_report(cells):
     """Build a LeakageReport from {(n, density): {mode: value}}."""
-    report = LeakageReport(config=None)
+    report = LeakageReport()
     for (n, density), values in cells.items():
         for mode, value in values.items():
             report.summary.append(
