@@ -34,6 +34,16 @@ reconstruction does not depend on what else is in its batch (the
 products' rounding could matter only through the sign of a gradient
 component within rounding of 0).
 
+Each step phase (one step size) ends early once the batch repeats. With
+a fixed step and fixed running rows, a step is a deterministic map of
+the running batch x, and in practice the clamped +-step moves soon
+settle every row into a cycle of period 2 or 4. When x equals the
+state four steps back, the last four states recur in that order until
+the step changes, so the loop takes the one the phase would end on and
+skips the rest of the phase. This is exact: the skipped steps only
+revisit states that already passed the saturation and finiteness
+checks. On the benchmark's attack batch about 100 of 1000 steps run.
+
 Reconstruction quality is scored with a single-window SSIM over the
 whole image; the images are smaller than the standard sliding window.
 """
@@ -223,6 +233,16 @@ def invert_gradient(
     so the batch's products, whose rounding may differ from a batch of
     one, could change a result only through a sign of a gradient
     component within rounding of 0.
+
+    A step phase (one step size) ends early once the running batch
+    repeats. Within a phase, and between two saturation stops, a step is
+    a deterministic map of the running rows' pixels x_t, so
+    x_{t+1} = x_{t-3} means x_{s+4} = x_s for every later step s of the
+    phase. The loop keeps the last four states, and on such a repeat
+    takes the state the phase ends on and goes on from the next phase; a
+    row leaving the batch or a new step size clears them. Every skipped
+    state was already checked for saturation and a non-finite cosine, so
+    the result equals running every step.
     """
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
@@ -263,10 +283,17 @@ def invert_gradient(
     o_w = obs_hat[:, : w.size].reshape(len(running), *w.shape)
     o_b = obs_hat[:, w.size:]
     one_hot = np.eye(classes)[labels[running]]
-    for it in range(iters):
-        if not running.size:
-            break
-        step = lr * (0.1 ** ((it >= iters // 2) + (it >= 3 * iters // 4)))
+    # The last four states under this step and these running rows: when
+    # a step reproduces the oldest, the four recur in order to the phase
+    # end, so the loop jumps to the one the phase ends on.
+    ends = (iters // 2, 3 * iters // 4, iters)
+    back = []
+    it = 0
+    while it < iters and running.size:
+        phase = (it >= iters // 2) + (it >= 3 * iters // 4)
+        if it in ends:
+            back = []
+        step = lr * (0.1 ** phase)
         p = _softmax(x_run @ w.T + model.b)
         a = p - one_hot
         a_sq = np.einsum("rc,rc->r", a, a)
@@ -276,6 +303,7 @@ def invert_gradient(
             running, x_run, o_w, o_b, one_hot, p, a, a_sq = (
                 v[keep] for v in (running, x_run, o_w, o_b, one_hot, p, a, a_sq)
             )
+            back = []
             if not running.size:
                 break
         ox = (o_w @ x_run[:, :, None])[:, :, 0] + o_b
@@ -297,6 +325,10 @@ def invert_gradient(
             - (dot / x_sq1)[:, None] * x_run
         )
         x_run = np.clip(x_run + step * np.sign(h), 0.0, 1.0)
+        it += 1
+        if len(back) == 4 and np.array_equal(x_run, back[0]):
+            x_run, it = back[(ends[phase] - it) % 4], ends[phase]
+        back = back[-3:] + [x_run]
     x[running] = x_run
     images = tuple(
         ToyImage(pixels=x[r].reshape(side, side), label=int(labels[r]))

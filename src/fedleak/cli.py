@@ -474,6 +474,8 @@ def _report_from_summary_csv(path: str) -> LeakageReport:
             )
         except (ValueError, KeyError) as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    if not report.summary:
+        raise ValueError(f"{path}: no summary rows")
     return report
 
 
@@ -482,8 +484,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     tol = opts.get("tol", 0.05, float)
     if not (math.isfinite(tol) and tol >= 0.0):
         raise UsageError(f"--tol must be finite and >= 0, got {tol!r}")
-    report = _report_from_summary_csv(args.report)
-    verdict = verify_proposition1(report, tol)
+    try:  # an unreadable or malformed report, or a cell without all four modes
+        verdict = verify_proposition1(_report_from_summary_csv(args.report), tol)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"report: {exc}") from exc
     failures = []
     for cell in verdict.cells:
         values = " ".join(f"{k}={v:.4f}" for k, v in cell.leakage.items())

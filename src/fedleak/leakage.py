@@ -639,7 +639,7 @@ def verify_proposition1(report: LeakageReport, tol: float) -> Proposition1Verdic
     for any connected graph on more than two nodes and is skipped at
     n = 2. All three also get a direction check on the estimated gap
     with a tol cushion for estimator noise. Returns a verdict object;
-    never raises.
+    raises ValueError only for a cell that lacks one of the four modes.
     """
     cells = []
     for n, density in report.cells():

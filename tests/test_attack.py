@@ -263,6 +263,17 @@ class TestInvertGradientBatch:
             expected = reference_inversion(observed[row], model, labels[row], 200, seeds[row])
             assert np.array_equal(recon.pixels.ravel(), expected), row
 
+    @pytest.mark.parametrize("iters", [201, 202, 203, 1001])
+    def test_early_phase_ends_equal_the_one_target_loop(self, batch, iters):
+        # with the 200 steps above, the phase lengths (100, 50, 50) to
+        # (101, 51, 51) and (500, 250, 251) put the phase ends at every
+        # residue mod 4, so each pick of the state a phase ends on is hit
+        model, observed, labels, seeds, _ = batch
+        recons = invert_gradient(observed, model, labels, iters=iters, seed=seeds)
+        for row, recon in enumerate(recons):
+            expected = reference_inversion(observed[row], model, labels[row], iters, seeds[row])
+            assert np.array_equal(recon.pixels.ravel(), expected), (iters, row)
+
     def test_row_order_does_not_matter(self, batch):
         model, observed, labels, seeds, recons = batch
         backwards = invert_gradient(
@@ -387,29 +398,54 @@ class TestSaturationMidDescent:
 
 
 class TestWorkloadBatch:
-    """The benchmark's attack batch (n=6, corrupt node 0, seed 0, every
-    mode at densities 0.4, 0.8 and 1.0) matches the one-target loop."""
+    """The benchmark's attack batch (n=6, corrupt node 0, every mode at
+    densities 0.4, 0.8 and 1.0) matches the one-target loop."""
 
-    ITERS = 300
-
-    def test_every_row_equals_the_one_target_loop(self, tmp_path, monkeypatch):
+    def run_batch(self, tmp_path, monkeypatch, seed, iters):
+        """The workload's one invert_gradient call at this seed and
+        iteration count, and the descent steps it ran (one _softmax call
+        per step)."""
         calls = []
+        steps = []
         real = attack.invert_gradient
+        real_softmax = attack._softmax
+
+        def counting_softmax(z):
+            steps.append(1)
+            return real_softmax(z)
 
         def spy(observed, model, label, **kwargs):
+            monkeypatch.setattr(attack, "_softmax", counting_softmax)
             recons = real(observed, model, label, **kwargs)
+            monkeypatch.setattr(attack, "_softmax", real_softmax)
             calls.append((observed, model, label, kwargs["seed"], recons))
             return recons
 
         monkeypatch.setattr(attack, "invert_gradient", spy)
-        argv = ["attack", "--seed", "0", "--modes", "cfl,cfl_sa,dfl,dfl_sa", "--n", "6",
-                "--densities", "0.4,0.8,1.0", "--iters", str(self.ITERS), "--corrupt", "0",
+        argv = ["attack", "--seed", str(seed), "--modes", "cfl,cfl_sa,dfl,dfl_sa", "--n", "6",
+                "--densities", "0.4,0.8,1.0", "--iters", str(iters), "--corrupt", "0",
                 "--seeds", "1", "--out-dir", str(tmp_path / "out")]
         assert main(argv) == EXIT_OK
         ((observed, model, labels, seeds, recons),) = calls
         assert len(recons) == 40
+        return observed, model, labels, seeds, recons, len(steps)
+
+    def test_every_row_equals_the_one_target_loop(self, tmp_path, monkeypatch):
+        observed, model, labels, seeds, recons, _ = self.run_batch(tmp_path, monkeypatch, 0, 300)
         for row, recon in enumerate(recons):
-            expected = reference_inversion(observed[row], model, labels[row], self.ITERS, seeds[row])
+            expected = reference_inversion(observed[row], model, labels[row], 300, seeds[row])
+            assert np.array_equal(recon.pixels.ravel(), expected), row
+
+    def test_period_four_batch_ends_its_phases_early_and_exactly(self, tmp_path, monkeypatch):
+        # at seed 9 some rows repeat only every four steps; the batch
+        # still runs under 150 of its 1000 steps, and every row ends
+        # where the loop that runs every step ends
+        observed, model, labels, seeds, recons, steps = self.run_batch(
+            tmp_path, monkeypatch, 9, 1000
+        )
+        assert steps <= 150
+        for row, recon in enumerate(recons):
+            expected = reference_inversion(observed[row], model, labels[row], 1000, seeds[row])
             assert np.array_equal(recon.pixels.ravel(), expected), row
 
 

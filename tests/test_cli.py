@@ -370,6 +370,38 @@ class TestVerify:
         assert "--tol must be finite and >= 0" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "No such file or directory"),
+            ("", "empty file"),
+            ("mode,n\ncfl,8\n", "summary header must contain"),
+            ("mode,n,density,leakage_nats\n", "no summary rows"),
+            ("mode,n,density,leakage_nats\ncfl,8,x,0.5\n", ":2: could not convert"),
+            ("mode,n,density,leakage_nats\ncfl,8,0.3\n", ":2: expected 4 columns"),
+        ],
+        ids=["missing", "empty", "header", "no-rows", "bad-number", "short-row"],
+    )
+    def test_bad_report_is_a_usage_error(self, tmp_path, capsys, content, message):
+        report = tmp_path / "report.csv"
+        if content is not None:
+            report.write_text(content)
+        assert main(["verify", str(report)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error: report: ")
+        assert message in captured.err
+        assert captured.out == ""
+
+    def test_report_missing_a_mode_is_a_usage_error(self, summary, tmp_path, capsys):
+        header, rows, _ = read_csv(summary)
+        kept = [r for r in rows if not (r["mode"] == "dfl" and r["density"] == "0.9")]
+        partial = tmp_path / "partial.csv"
+        write_csv(partial, header, [[r[h] for h in header] for r in kept])
+        assert main(["verify", str(partial)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "usage error: report: cell (n=8, density=0.9) lacks modes ['dfl']" in captured.err
+        assert captured.out == ""
+
     def test_swapped_sa_estimates_fail(self, summary, tmp_path, capsys):
         header, rows, _ = read_csv(summary)
         at = {r["mode"]: r for r in rows if r["density"] == "0.3"}
