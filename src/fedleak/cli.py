@@ -166,6 +166,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         modes=_mode_values(modes),
     )
 
+    if any(m.decentralized for m in modes):
+        # n < 2 is left to ExperimentConfig, which names it
+        _check_densities([v for v in n_values if v >= 2], densities)
     try:
         config = ExperimentConfig(
             n_values=n_values,
@@ -332,12 +335,8 @@ def cmd_attack(args: argparse.Namespace) -> int:
         n = 10
     if densities is None:
         densities = (0.4, 0.8, 1.0)
-    if needs_topology and not densities:
-        raise UsageError(
-            "modes dfl/dfl_sa need a topology: pass --densities or --graph-file"
-        )
     if not densities:
-        densities = (math.nan,)  # centralized only; density is a label
+        raise UsageError("--densities: no density given")
     if n_seeds < 1:
         raise UsageError(f"--seeds must be >= 1, got {n_seeds}")
     if n < 3:
@@ -526,6 +525,7 @@ def cmd_analytic(args: argparse.Namespace) -> int:
     if small:
         raise UsageError(f"--n: closed forms need n >= 2, got {small[0]}")
     _check_repeats("--n", n_values)
+    _check_repeats("--densities", densities)
     _check_densities(n_values, densities)
 
     rows = []

@@ -20,6 +20,10 @@ agree). A target the view shows directly scores the self term; every
 other target gets one KSG estimate against the view. The test suite
 checks the averages against knn_cmi on the full observation.
 
+A view of several columns is scored from its max-norm distance rows,
+computed a block at a time: memory grows with the sample count, not
+with its square.
+
 Self-information I(G_i; G_i) diverges for continuous variables: the
 estimator reports its finite value at the given sample count, never a
 symbolic infinity, so relative leakage depends on the pinned sample
@@ -88,24 +92,14 @@ __all__ = [
     "cell_topology",
 ]
 
-# Multi-column observations (DFL's neighbor gradients) up to this many
-# samples take their radii and observation counts from the observation's
-# N x N max-norm distance matrix (one float buffer, 8 MB at N=1000),
-# mostly from each point's _NEIGHBOR_CANDIDATES nearest neighbors in it;
-# beyond it, where the matrix would pass 128 MB, from kd-trees. The
-# matrix and the candidates are built once per corrupt node and serve
-# all its targets, while the kd-tree path searches a tree over the
-# observation and the target for every target, so it loses on every
-# probed observation, more so the more neighbors: DFL alone at N=1000,
-# one thread, took 0.19 s on the matrix against 0.25 s on kd-trees at
-# n=8, density 0.3; 0.11 s against 0.21 s at n=8, density 0.9; 0.47 s
-# against 3.6 s at n=16, density 0.3 (BENCH_sweep.json, candidates);
-# and 1.0 s against 67.6 s at n=30, density 0.6 (kd-trees: fork_pool).
-_MATRIX_PATH_MAX_SAMPLES = 4000
+# Rows of a multi-column observation's max-norm distance matrix held at
+# once (2 MB at N=1000). DFL at N=1000, n=8 to 50, ran alike with 128
+# and 256 rows and with the whole matrix; with 1024 rows, 5 % slower.
+_BLOCK = 256
 
 # Nearest observation neighbors kept per point on the matrix path. A
 # point whose k-th joint neighbor lies among them is settled from them
-# alone; any other is recounted on its full matrix row. DFL at n=8,
+# alone; any other is recounted on its distance row. DFL at n=8,
 # N=1000 took 0.26/0.12 s at density 0.3/0.9 with 16 candidates,
 # 0.19/0.11 s with 32 and 0.18/0.12 s with 64; at n=30, density 0.6,
 # 0.97 s with 32 and 1.16 s with 64.
@@ -228,16 +222,16 @@ class _CellEstimator:
 
     mi(i) gives exactly knn_mi(observation, G_i) (same radii, same
     strict counts) for the observation last passed to observe(), and
-    self_mi(i) exactly knn_mi(G_i, G_i). A multi-column observation of
-    at most _MATRIX_PATH_MAX_SAMPLES rows takes its radii and counts
-    from its max-norm distance matrix, built once per observation, and
-    from each point's _NEIGHBOR_CANDIDATES nearest observation neighbors
-    in it (_matrix_counts); any other observation gets them from
-    _kth_neighbor_radius and _strict_counts over its count index (its
-    sorted column, or a kd-tree when it has several columns), also built
-    once per observation. Target counts always come from _strict_counts
-    on the target's sorted column; that column and the self term are
-    cached for the whole cell.
+    self_mi(i) exactly knn_mi(G_i, G_i). A multi-column observation
+    takes its radii and counts from each point's _NEIGHBOR_CANDIDATES
+    nearest observation neighbors, found once per observation, and
+    recounts the points they do not settle on their rows of its max-norm
+    distance matrix, computed _BLOCK rows at a time (_matrix_counts). A
+    one-column observation gets them from _kth_neighbor_radius and
+    _strict_counts over its sorted column, also built once per
+    observation. Target counts always come from _strict_counts on the
+    target's sorted column; that column and the self term are cached for
+    the whole cell.
     """
 
     def __init__(self, data: np.ndarray, k: int):
@@ -248,8 +242,8 @@ class _CellEstimator:
         self._self_mi: dict[int, float] = {}
         self._x: np.ndarray | None = None
         self._x_index = None
-        self._x_dist: np.ndarray | None = None
-        self._candidates: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        # None until _observe_matrix runs; () when it keeps no candidates
+        self._candidates: tuple[np.ndarray, ...] | None = None
 
     def self_mi(self, i: int) -> float:
         """I(G_i; G_i): the term of a target the observation shows.
@@ -280,12 +274,11 @@ class _CellEstimator:
     def observe(self, observed: np.ndarray) -> None:
         """Make observed, an (N,) or (N, d) array, the one mi() scores."""
         self._x = observed.reshape(len(observed), -1)
-        self._x_index = self._x_dist = self._candidates = None
+        self._x_index = self._candidates = None
 
     def mi(self, i: int) -> float:
         """I(observation; G_i) in nats."""
-        n_samples, d = self._x.shape
-        if d > 1 and n_samples <= _MATRIX_PATH_MAX_SAMPLES:
+        if self._x.shape[1] > 1:
             cx, cy = self._matrix_counts(i)
         else:
             cx, cy = self._tree_counts(i)
@@ -309,24 +302,25 @@ class _CellEstimator:
         )
 
     def _observe_matrix(self) -> None:
-        """The observation's distance matrix and, per point, the indices
-        and distances of its m nearest observation neighbors (itself
-        among them) and the (m+1)-th smallest distance b, a bound below
-        every other point's distance. m = min(_NEIGHBOR_CANDIDATES, N-1);
-        with m <= k the candidates cannot hold a k-th neighbor and are
-        not kept."""
-        self._x_dist = cdist(self._x, self._x, "chebyshev")
-        m = min(_NEIGHBOR_CANDIDATES, len(self._x) - 1)
-        if m > self.k:
-            order = np.argpartition(self._x_dist, m, axis=1)
-            nearest = order[:, :m].copy()
-            bound = np.take_along_axis(self._x_dist, order[:, m, None], axis=1)[:, 0]
-            del order  # N x N indices: drop them before any target
-            self._candidates = (
-                nearest,
-                np.take_along_axis(self._x_dist, nearest, axis=1),
-                bound,
-            )
+        """Per point, the indices and distances of its m nearest
+        observation neighbors (itself among them) and the (m+1)-th
+        smallest distance b, a bound below every other point's distance,
+        taken from the observation's distance rows _BLOCK at a time.
+        m = min(_NEIGHBOR_CANDIDATES, N-1); with m <= k the candidates
+        cannot hold a k-th neighbor and none are kept."""
+        n = len(self._x)
+        m = min(_NEIGHBOR_CANDIDATES, n - 1)
+        if m <= self.k:
+            self._candidates = ()
+            return
+        nearest = np.empty((n, m + 1), dtype=np.intp)
+        near_dist = np.empty((n, m + 1))
+        for start in range(0, n, _BLOCK):
+            rows = slice(start, start + _BLOCK)
+            dist = cdist(self._x[rows], self._x, "chebyshev")
+            nearest[rows] = np.argpartition(dist, m, axis=1)[:, : m + 1]
+            near_dist[rows] = np.take_along_axis(dist, nearest[rows], axis=1)
+        self._candidates = (nearest[:, :m], near_dist[:, :m], near_dist[:, m])
 
     def _matrix_counts(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Radii and observation counts of mi(i) on the matrix path.
@@ -336,15 +330,15 @@ class _CellEstimator:
         joint space. If the k-th joint distance r among the candidates
         has b >= r, it is the k-th over all points; if also b >
         nextafter(r, 0), no outside point is counted. Such a point is
-        settled from its candidates; any other is recounted on its full
-        matrix row, as knn_mi's rule reads: joint distance max(observation
-        distance, |y_a - y_b|), k-th smallest (itself at 0 included),
-        count of observation distances <= nextafter(r, 0)."""
-        if self._x_dist is None:
-            self._observe_matrix()
-        x_dist = self._x_dist
-        y = self.data[:, i]
+        settled from its candidates; any other, and every point when no
+        candidates are kept, is recounted on its distance row, as
+        knn_mi's rule reads: joint distance max(observation distance,
+        |y_a - y_b|), k-th smallest (itself at 0 included), count of
+        observation distances <= nextafter(r, 0)."""
         if self._candidates is None:
+            self._observe_matrix()
+        y = self.data[:, i]
+        if not self._candidates:
             radii = np.empty(len(y))
             counts = np.empty(len(y), dtype=np.intp)
             rows = np.arange(len(y))
@@ -356,12 +350,15 @@ class _CellEstimator:
             strict = np.nextafter(radii, 0.0)
             counts = np.count_nonzero(near_dist <= strict[:, None], axis=1)
             rows = np.flatnonzero((bound < radii) | (bound <= strict))
-        if rows.size:
-            joint = np.maximum(x_dist[rows], np.abs(y[rows, None] - y))
+        for start in range(0, rows.size, _BLOCK):
+            block = rows[start : start + _BLOCK]
+            x_dist = cdist(self._x[block], self._x, "chebyshev")
+            joint = y[block, None] - y
+            np.maximum(np.abs(joint, out=joint), x_dist, out=joint)
             joint.partition(self.k, axis=1)
-            radii[rows] = joint[:, self.k]
-            strict = np.nextafter(radii[rows], 0.0)
-            counts[rows] = np.count_nonzero(x_dist[rows] <= strict[:, None], axis=1)
+            radii[block] = joint[:, self.k]
+            strict = np.nextafter(radii[block], 0.0)
+            counts[block] = np.count_nonzero(x_dist <= strict[:, None], axis=1)
         return counts, self._target_counts(i, radii)
 
 

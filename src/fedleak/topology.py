@@ -22,6 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .reporting import atomic_write_text
+
 __all__ = [
     "Graph",
     "WeightMatrix",
@@ -201,11 +203,9 @@ def metropolis_weights(g: Graph) -> WeightMatrix:
 
 def write_edge_list(g: Graph, path: str | Path) -> None:
     """Serialize as text: header line 'n m', then one 'i j' pair per line."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     lines = [f"{g.n} {g.m}"]
     lines.extend(f"{i} {j}" for i, j in g.edges)
-    path.write_text("\n".join(lines) + "\n")
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def read_edge_list(path: str | Path) -> Graph:

@@ -35,7 +35,7 @@ class TestUsageErrors:
         assert simulate(tmp_path, *SMALL_SWEEP, "--tol", "0.1") == EXIT_USAGE
 
     def test_too_few_samples(self, tmp_path, capsys):
-        assert simulate(tmp_path, "--n", "4", "--samples", "10") == EXIT_USAGE
+        assert simulate(tmp_path, "--n", "4", "--densities", "1.0", "--samples", "10") == EXIT_USAGE
         assert "samples must be >= 100" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
@@ -48,13 +48,19 @@ class TestUsageErrors:
         [
             (["analytic", "--n", "5", "--densities", "0.3"], "--densities: 0.3"),
             (["attack", "--n", "5", "--densities", "0.3"], "--densities: 0.3"),
+            (
+                ["simulate", "--n", "4", "--densities", "0.3", "--modes", "cfl,dfl"],
+                "--densities: 0.3 gives no connected graph on 4 nodes",
+            ),
+            (["attack", "--modes", "cfl", "--densities", ""], "--densities: no density given"),
             (["attack", "--n", "2"], "--n: the attack needs at least 3 nodes"),
             (["attack", "--n", "6", "--corrupt", "9"], "--corrupt: node 9 out of range"),
             (["attack", "--seeds", "0", "--iters", "20"], "--seeds must be >= 1"),
             (["attack", "--iters", "-5"], "--iters must be >= 1, got -5"),
             (["attack", "--iters", "20", "--lr", "nan"], "--lr must be finite and > 0"),
             (
-                ["simulate", "--n", "4", "--samples", "100", "--knn-k", "200"],
+                ["simulate", "--n", "4", "--densities", "1.0", "--samples", "100",
+                 "--knn-k", "200"],
                 "k_nn must be < samples",
             ),
             (
@@ -85,6 +91,10 @@ class TestUsageErrors:
                 "--n: 5 is given more than once",
             ),
             (
+                ["analytic", "--n", "6", "--densities", "0.6,0.6"],
+                "--densities: 0.6 is given more than once",
+            ),
+            (
                 ["attack", "--n", "4", "--modes", "cfl,cfl", "--densities", "1.0",
                  "--iters", "5"],
                 "--modes: cfl is given more than once",
@@ -94,6 +104,8 @@ class TestUsageErrors:
         ids=[
             "analytic-density",
             "attack-density",
+            "simulate-density",
+            "attack-no-density",
             "attack-n",
             "attack-corrupt",
             "attack-seeds",
@@ -106,6 +118,7 @@ class TestUsageErrors:
             "simulate-repeated-n",
             "simulate-repeated-mode",
             "analytic-repeated-n",
+            "analytic-repeated-density",
             "attack-repeated-mode",
             "analytic-modes",
         ],
@@ -311,6 +324,15 @@ class TestAttackOutputs:
                 assert (out / "recon" / name.format("0p4")).read_bytes() == (
                     out / "recon" / name.format("0p8")
                 ).read_bytes()
+
+
+    def test_densities_default_when_left_out(self, tmp_path):
+        out = tmp_path / "out"
+        argv = ["attack", "--n", "3", "--modes", "cfl", "--iters", "5", "--out-dir", str(out)]
+        assert main(argv) == EXIT_OK
+        _, rows, _ = read_csv(out / "attack_summary.csv")
+        assert [row["density"] for row in rows] == ["0.4", "0.8", "1.0"]
+        assert "nan" not in (out / "attack_ssim.svg").read_text()
 
 
 class TestManifestRoundTrip:

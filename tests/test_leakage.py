@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,13 +162,16 @@ class TestEstimateModeLeakage:
             assert np.mean(cond) == pytest.approx(fast.average, abs=0.05)
 
     @pytest.mark.parametrize(
-        "max_samples, candidates",
-        [(None, None), (0, None), (None, 4), (None, 10_000)],
-        ids=["matrix", "trees", "matrix-most-rows-recounted", "matrix-no-row-recounted"],
+        "block, candidates",
+        [(None, None), (1, None), (7, None), (None, 4), (None, 10_000)],
+        ids=[
+            "matrix", "block-1", "block-7", "matrix-most-rows-recounted", "matrix-no-row-recounted"
+        ],
     )
-    def test_pairs_equal_knn_mi_on_rebuilt_observation(self, monkeypatch, max_samples, candidates):
-        if max_samples is not None:
-            monkeypatch.setattr(leakage, "_MATRIX_PATH_MAX_SAMPLES", max_samples)
+    def test_pairs_equal_knn_mi_on_rebuilt_observation(self, monkeypatch, block, candidates):
+        if block is not None:
+            # 7 divides no sample count below: the last block is short
+            monkeypatch.setattr(leakage, "_BLOCK", block)
         if candidates is not None:
             # k + 1 candidates: few points find their k-th joint neighbor
             # among them; at least N - 1: nearly every point does
@@ -221,6 +225,21 @@ class TestEstimateModeLeakage:
         for samples in (gaussian, rounded(gaussian)):
             result = check(samples, wide, (Mode.DFL,), corrupt_nodes=[0])[Mode.DFL]
             assert [i for _, i, _ in result.pairs if i > 20] == [21, 22, 23]
+
+    def test_dfl_memory_stays_below_one_distance_matrix(self):
+        # peak below half of one N x N float64 array: the observation's
+        # max-norm distances are never all held at once
+        n_samples = 2000
+        n = 8
+        ring = Graph(n=n, edges=tuple((j, (j + 1) % n) for j in range(n)))
+        samples = draw_gradient_samples(n, n_samples, seed=3)
+        tracemalloc.start()
+        try:
+            estimate_mode_leakage(Mode.DFL, samples, graph=ring, weights=metropolis_weights(ring))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n_samples * n_samples * 8 / 2
 
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_self_term_equals_knn_mi(self, k):

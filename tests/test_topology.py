@@ -195,11 +195,11 @@ class TestEdgeListFormat:
         back = read_edge_list(path)
         assert back.n == g.n and back.edges == g.edges
 
-    def test_header_format(self, tmp_path):
-        g = path_graph(3)
-        path = tmp_path / "graph.txt"
-        write_edge_list(g, path)
-        assert path.read_text().splitlines()[0] == "3 2"
+    def test_file_bytes(self, tmp_path):
+        path = tmp_path / "graphs" / "graph.txt"
+        write_edge_list(path_graph(3), path)
+        assert path.read_bytes() == b"3 2\n0 1\n1 2\n"
+        assert list(path.parent.iterdir()) == [path]  # no temporary file left
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
