@@ -96,6 +96,15 @@ class _Options:
             raise UsageError(f"{source}: invalid value {text!r} ({exc})") from exc
 
 
+def _seed(opts: _Options) -> int:
+    """The root seed, from the flag or the config; SeedSequence takes no
+    negative one."""
+    seed = opts.get("seed", 0, int)
+    if seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {seed}")
+    return seed
+
+
 def _check_densities(n_values, densities) -> None:
     """Usage error for a density that gives some n no connected graph."""
     for n in n_values:
@@ -148,7 +157,7 @@ def _manifest_base(command: str, out_dir: Path) -> dict[str, str]:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     opts = _Options(args)
-    seed = opts.get("seed", 0, int)
+    seed = _seed(opts)
     samples = opts.get("samples", 1000, int)
     k_nn = opts.get("knn_k", 3, int)
     n_values = opts.get("n", (10, 20, 30, 40, 50), _parse_int_list)
@@ -298,7 +307,7 @@ def _summary_series(summary_rows, value_idx: int) -> list[Series]:
 
 def cmd_attack(args: argparse.Namespace) -> int:
     opts = _Options(args)
-    seed = opts.get("seed", 0, int)
+    seed = _seed(opts)
     n = opts.get("n", None, int)
     modes = opts.get("modes", ALL_MODES, _parse_modes)
     densities = opts.get("densities", None, _parse_float_list)
@@ -517,7 +526,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_analytic(args: argparse.Namespace) -> int:
     opts = _Options(args)
-    seed = opts.get("seed", 0, int)
+    seed = _seed(opts)
     n_values = opts.get("n", (10, 20, 30, 40, 50), _parse_int_list)
     densities = opts.get("densities", (), _parse_float_list)
     out_dir = opts.get("out_dir", None, str)

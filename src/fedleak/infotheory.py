@@ -20,7 +20,10 @@ a point j counts for query p at radius r when fl(|x_j - p|) <=
 nextafter(r, 0) in every coordinate, the distance as computed in
 floating point. One-column points are counted on a sorted copy of the
 column, any other on a kd-tree; both apply that same rule, so either
-gives the same counts. Every kd-tree query runs on the calling thread
+gives the same counts. On the sorted column the query points go in
+sorted order, and one call counts a whole (T, N) stack of radii, so
+the estimates that share a one-column marginal count it together
+(leakage._CellEstimator). Every kd-tree query runs on the calling thread
 (scipy's default, workers=1): a sweep spreads its estimates over CPUs
 one (cell, mode) unit per worker process (leakage.run_experiment), and
 splitting each small query over threads too cost more in thread starts
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import digamma
@@ -131,25 +135,53 @@ def _kth_neighbor_radius(joint: np.ndarray, k: int) -> np.ndarray:
     return dist[:, -1]
 
 
-def _count_index(points: np.ndarray) -> np.ndarray | cKDTree:
+class _SortedColumn(NamedTuple):
+    """A one-column point set as _strict_counts searches it: the values
+    in ascending order, and the order (an argsort) that sorts them."""
+
+    values: np.ndarray
+    order: np.ndarray
+
+
+def _count_index(points: np.ndarray) -> _SortedColumn | cKDTree:
     """What _strict_counts searches: the sorted column of one-column
     points, a kd-tree over any other."""
-    return np.sort(points[:, 0]) if points.shape[1] == 1 else cKDTree(points)
+    if points.shape[1] == 1:
+        order = np.argsort(points[:, 0])
+        return _SortedColumn(points[order, 0], order)
+    return cKDTree(points)
 
 
-def _window_counts(column: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """For each center p with radius r, the entries s_j of the sorted
-    column with fl(|s_j - p|) <= r.
+def _window_counts(column: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """For each entry c of the sorted column, centre of its own window,
+    and each radius r of it, the entries s with fl(|s - c|) <=
+    nextafter(r, 0): those strictly closer than r, or the exact
+    duplicates of c when r is 0.
 
-    Rounding is monotone, so for a fixed p fl(|s_j - p|) does not
-    decrease as s_j moves away from p: the counted entries form one
-    window of the column around p. np.searchsorted on p - r and p + r
-    finds it up to the rounding of those two sums; each end then moves,
-    one block of tied entries at a time, until the entry just outside
-    the window fails the exact check and the entry at its edge passes.
+    radii is (N,), one radius per entry, or (T, N), T radii per entry
+    taken row by row; the counts have the same shape. The centres go in
+    sorted order, so the searches walk the column front to back.
+
+    Rounding is monotone, so for a fixed c fl(|s - c|) does not
+    decrease as s moves away from c: the counted entries form one
+    window of the column around c. np.searchsorted on c - r and c + r,
+    each key itself left out, finds it up to the rounding of those two
+    sums; each end then moves, one block of tied entries at a time,
+    until the entry just outside the window fails the exact check and
+    the entry at its edge passes. An entry at exactly the radius, the
+    usual edge of a marginal's window, falls outside at once. c lies in
+    its own window and fl(c - r) <= c <= fl(c + r), so neither end
+    starts beyond the far edge of the window, and each can only settle
+    on its own edge.
     """
-    lo = np.searchsorted(column, centers - radii, side="left")
-    hi = np.searchsorted(column, centers + radii, side="right")
+    n = len(column)
+    strict = np.nextafter(radii, 0.0)
+    # -inf and +inf ends fail every check: an end moving outwards stops
+    # at them, and one moving inwards stops at the window first
+    padded = np.concatenate(([-np.inf], column, [np.inf]))
+    lo = np.searchsorted(padded, column - radii, side="right")
+    hi = np.searchsorted(padded, column + radii, side="left")
+    flat_strict = strict.reshape(-1)
     # (window end, offset of the entry it tests, searchsorted side that
     # steps past that entry's ties, whether the end moves when the
     # entry is within the radius or when it is not)
@@ -159,19 +191,20 @@ def _window_counts(column: np.ndarray, centers: np.ndarray, radii: np.ndarray) -
         (hi, 0, "right", True),
         (hi, -1, "left", False),
     ):
-        todo = np.arange(len(centers))
+        within = np.abs(padded[end + offset] - column) <= strict
+        todo = np.flatnonzero(within if moves_if_within else ~within)
+        end = end.reshape(-1)  # a view: each move writes through to lo or hi
         while todo.size:
-            j = end[todo] + offset
-            inside = (j >= 0) & (j < len(column))
-            todo, j = todo[inside], j[inside]
-            moves = (np.abs(column[j] - centers[todo]) <= radii[todo]) == moves_if_within
-            todo, j = todo[moves], j[moves]
-            end[todo] = np.searchsorted(column, column[j], side=side)
+            end[todo] = np.searchsorted(padded, padded[end[todo] + offset], side=side)
+            within = np.abs(padded[end[todo] + offset] - column[todo % n]) <= flat_strict[todo]
+            todo = todo[within == moves_if_within]
     return hi - lo
 
 
 def _strict_counts(
-    points: np.ndarray, radii: np.ndarray, index: np.ndarray | cKDTree | None = None
+    points: np.ndarray,
+    radii: np.ndarray,
+    index: _SortedColumn | cKDTree | None = None,
 ) -> np.ndarray:
     """Points strictly inside each radius, the query point included.
 
@@ -182,14 +215,17 @@ def _strict_counts(
     the same points, built here when not passed. One-column points are
     counted in windows of their sorted column (_window_counts): since
     rounding is monotone the counted points are contiguous there, so
-    the window count is exact. Others are counted on a kd-tree.
+    the window count is exact. For them radii may also be a (T, N)
+    stack, one row of radii per estimate, all counted in one pass.
+    Others are counted on a kd-tree, with (N,) radii.
     """
     if index is None:
         index = _count_index(points)
-    strict = np.nextafter(radii, 0.0)
-    if isinstance(index, np.ndarray):
-        return _window_counts(index, points[:, 0], strict)
-    return index.query_ball_point(points, strict, p=np.inf, return_length=True)
+    if isinstance(index, _SortedColumn):
+        counts = np.empty(radii.shape, dtype=np.intp)
+        counts[..., index.order] = _window_counts(index.values, radii[..., index.order])
+        return counts
+    return index.query_ball_point(points, np.nextafter(radii, 0.0), p=np.inf, return_length=True)
 
 
 def knn_mi(x, y, k: int = 3) -> MIEstimate:

@@ -59,6 +59,7 @@ from scipy.special import digamma
 
 from .infotheory import (
     SampleMatrix,
+    _SortedColumn,
     _count_index,
     _kth_neighbor_radius,
     _strict_counts,
@@ -97,12 +98,12 @@ __all__ = [
 # and 256 rows and with the whole matrix; with 1024 rows, 5 % slower.
 _BLOCK = 256
 
-# Nearest observation neighbors kept per point on the matrix path. A
-# point whose k-th joint neighbor lies among them is settled from them
-# alone; any other is recounted on its distance row. DFL at n=8,
-# N=1000 took 0.26/0.12 s at density 0.3/0.9 with 16 candidates,
-# 0.19/0.11 s with 32 and 0.18/0.12 s with 64; at n=30, density 0.6,
-# 0.97 s with 32 and 1.16 s with 64.
+# Nearest observation neighbors kept per point on the matrix path, at
+# least; a larger k keeps 4k. A point whose k-th joint neighbor lies
+# among them is settled from them alone; any other is recounted on its
+# distance row. DFL at n=8, N=1000, k=3 took 0.26/0.12 s at density
+# 0.3/0.9 with 16 candidates, 0.19/0.11 s with 32 and 0.18/0.12 s with
+# 64; at n=30, density 0.6, 0.97 s with 32 and 1.16 s with 64.
 _NEIGHBOR_CANDIDATES = 32
 
 
@@ -220,25 +221,27 @@ def draw_gradient_samples(n: int, samples: int, seed) -> SampleMatrix:
 class _CellEstimator:
     """KSG evaluator shared by the many estimates in one cell.
 
-    mi(i) gives exactly knn_mi(observation, G_i) (same radii, same
-    strict counts) for the observation last passed to observe(), and
-    self_mi(i) exactly knn_mi(G_i, G_i). A multi-column observation
-    takes its radii and counts from each point's _NEIGHBOR_CANDIDATES
-    nearest observation neighbors, found once per observation, and
-    recounts the points they do not settle on their rows of its max-norm
-    distance matrix, computed _BLOCK rows at a time (_matrix_counts). A
-    one-column observation gets them from _kth_neighbor_radius and
-    _strict_counts over its sorted column, also built once per
-    observation. Target counts always come from _strict_counts on the
-    target's sorted column; that column and the self term are cached for
-    the whole cell.
+    mi(targets) gives, for each target i, exactly knn_mi(observation,
+    G_i) (same radii, same strict counts) for the observation last
+    passed to observe(), and self_mi(i) exactly knn_mi(G_i, G_i). A
+    multi-column observation takes each target's radii and counts from
+    each point's nearest observation neighbors (_observe_matrix), found
+    once per observation, and recounts the points they do not settle on
+    their rows of its max-norm distance matrix, computed _BLOCK rows at
+    a time (_matrix_counts). A one-column observation takes every
+    target's radii from _kth_neighbor_radius first, then counts the
+    observation once for the whole (targets, N) stack of radii with
+    _strict_counts over its sorted column (_column_counts). Target
+    counts always come from _strict_counts on the target's sorted
+    column, one row of radii each; that column and the self term are
+    cached for the whole cell.
     """
 
     def __init__(self, data: np.ndarray, k: int):
         self.data = data
         self.k = k
         self._psi = float(digamma(k)) + float(digamma(data.shape[0]))
-        self._sorted_columns: dict[int, np.ndarray] = {}
+        self._sorted_columns: dict[int, _SortedColumn] = {}
         self._self_mi: dict[int, float] = {}
         self._x: np.ndarray | None = None
         self._x_index = None
@@ -257,7 +260,7 @@ class _CellEstimator:
         """
         if i not in self._self_mi:
             k = self.k
-            column = self._sorted_column(i)
+            column = self._sorted_column(i).values
             n = len(column)
             pad = np.full(k, np.inf)
             windows = sliding_window_view(np.concatenate([pad, column, pad]), 2 * k + 1)
@@ -276,15 +279,15 @@ class _CellEstimator:
         self._x = observed.reshape(len(observed), -1)
         self._x_index = self._candidates = None
 
-    def mi(self, i: int) -> float:
-        """I(observation; G_i) in nats."""
+    def mi(self, targets: Sequence[int]) -> list[float]:
+        """I(observation; G_i) in nats for each target i, in order."""
         if self._x.shape[1] > 1:
-            cx, cy = self._matrix_counts(i)
+            counts = [self._matrix_counts(i) for i in targets]
         else:
-            cx, cy = self._tree_counts(i)
-        return self._psi - float(np.mean(digamma(cx) + digamma(cy)))
+            counts = self._column_counts(targets)
+        return [self._psi - float(np.mean(digamma(cx) + digamma(cy))) for cx, cy in counts]
 
-    def _sorted_column(self, i: int) -> np.ndarray:
+    def _sorted_column(self, i: int) -> _SortedColumn:
         if i not in self._sorted_columns:
             self._sorted_columns[i] = _count_index(self.data[:, i, None])
         return self._sorted_columns[i]
@@ -292,24 +295,34 @@ class _CellEstimator:
     def _target_counts(self, i: int, radii: np.ndarray) -> np.ndarray:
         return _strict_counts(self.data[:, i, None], radii, index=self._sorted_column(i))
 
-    def _tree_counts(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        radii = _kth_neighbor_radius(np.hstack([self._x, self.data[:, i, None]]), self.k)
+    def _column_counts(self, targets: Sequence[int]) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Observation and target counts of each target's mi on a
+        one-column observation: the observation is counted once, for
+        the stack of every target's radii."""
+        if not targets:
+            return []
+        radii = np.stack(
+            [
+                _kth_neighbor_radius(np.hstack([self._x, self.data[:, i, None]]), self.k)
+                for i in targets
+            ]
+        )
         if self._x_index is None:
             self._x_index = _count_index(self._x)
-        return (
-            _strict_counts(self._x, radii, index=self._x_index),
-            self._target_counts(i, radii),
-        )
+        counts = _strict_counts(self._x, radii, index=self._x_index)
+        return [(counts[t], self._target_counts(i, radii[t])) for t, i in enumerate(targets)]
 
     def _observe_matrix(self) -> None:
         """Per point, the indices and distances of its m nearest
         observation neighbors (itself among them) and the (m+1)-th
         smallest distance b, a bound below every other point's distance,
         taken from the observation's distance rows _BLOCK at a time.
-        m = min(_NEIGHBOR_CANDIDATES, N-1); with m <= k the candidates
-        cannot hold a k-th neighbor and none are kept."""
+        m = min(max(_NEIGHBOR_CANDIDATES, 4k), N-1): a fixed m would
+        settle fewer points the closer k came to it, and none from k = m
+        on. With m <= k the candidates cannot hold a k-th neighbor and
+        none are kept."""
         n = len(self._x)
-        m = min(_NEIGHBOR_CANDIDATES, n - 1)
+        m = min(max(_NEIGHBOR_CANDIDATES, 4 * self.k), n - 1)
         if m <= self.k:
             self._candidates = ()
             return
@@ -392,9 +405,10 @@ def estimate_mode_leakage(
     for k in corrupt_iter:
         observed, visible = extract_observation(mode, k, data, graph, weights)
         est.observe(observed)
-        for i in range(n):
-            if i != k:
-                pairs.append((k, i, est.self_mi(i) if i in visible else est.mi(i)))
+        targets = [i for i in range(n) if i != k]
+        hidden = [i for i in targets if i not in visible]
+        scored = dict(zip(hidden, est.mi(hidden)))
+        pairs += [(k, i, est.self_mi(i) if i in visible else scored[i]) for i in targets]
 
     average = float(np.mean([p[2] for p in pairs]))
     return ModeLeakage(mode=mode, pairs=tuple(pairs), average=average)

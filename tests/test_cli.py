@@ -100,6 +100,9 @@ class TestUsageErrors:
                 "--modes: cfl is given more than once",
             ),
             (["analytic", "--modes", "cfl", "--n", "4"], "unrecognized arguments: --modes cfl"),
+            (["simulate", *SMALL_SWEEP, "--seed", "-1"], "--seed must be >= 0, got -1"),
+            (["attack", "--iters", "5", "--seed", "-3"], "--seed must be >= 0, got -3"),
+            (["analytic", "--n", "4", "--seed", "-1"], "--seed must be >= 0, got -1"),
         ],
         ids=[
             "analytic-density",
@@ -121,6 +124,9 @@ class TestUsageErrors:
             "analytic-repeated-density",
             "attack-repeated-mode",
             "analytic-modes",
+            "simulate-seed",
+            "attack-seed",
+            "analytic-seed",
         ],
     )
     def test_bad_option_exits_before_any_work(self, tmp_path, capsys, argv, message):
@@ -128,6 +134,22 @@ class TestUsageErrors:
         assert main([*argv, "--out-dir", str(out)]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert message in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["simulate", *SMALL_SWEEP], ["attack", "--iters", "5"], ["analytic", "--n", "4"]],
+        ids=["simulate", "attack", "analytic"],
+    )
+    def test_negative_seed_from_config_exits_before_any_output(self, tmp_path, capsys, argv):
+        # SeedSequence would reject it only after a header or a first value
+        config = tmp_path / "config.txt"
+        config.write_text("seed=-2\n")
+        out = tmp_path / "out"
+        assert main([*argv, "--config", str(config), "--out-dir", str(out)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == "usage error: --seed must be >= 0, got -2\n"
         assert captured.out == ""
         assert not out.exists()
 

@@ -322,61 +322,86 @@ def reference_counts(column, radii):
     )
 
 
-def assert_counts_match(x, y, k=3):
-    """Both marginals' counts at the joint k-th radii, against the
-    reference."""
-    radii = _kth_neighbor_radius(np.column_stack([x, y]), k)
-    for column in (x, y):
-        expected = reference_counts(column, radii)
-        assert np.array_equal(_strict_counts(column[:, None], radii), expected)
+def assert_counts_match(x, ys, k=3):
+    """Counts at the joint k-th radii of x with each column y of ys,
+    against the reference: x's for the whole (T, N) stack of radii in
+    one call and for each row alone, each y's for its own row."""
+    radii = np.stack([_kth_neighbor_radius(np.column_stack([x, y]), k) for y in ys])
+    stacked = _strict_counts(x[:, None], radii)
+    assert stacked.shape == radii.shape
+    for y, row, counts in zip(ys, radii, stacked):
+        expected = reference_counts(x, row)
+        assert np.array_equal(counts, expected)
+        assert np.array_equal(_strict_counts(x[:, None], row), expected)
+        assert np.array_equal(_strict_counts(y[:, None], row), reference_counts(y, row))
     return radii
 
 
 class TestStrictCounts:
-    """One-column points are counted in windows of their sorted column;
-    the counts must equal the kd-tree's exactly, ties included."""
+    """One-column points are counted in windows of their sorted column,
+    for one row of radii or a stack of them; the counts must equal the
+    kd-tree's exactly, ties included."""
 
     @pytest.mark.parametrize("n", [100, 1000, 4500])
     def test_tied_values_and_zero_radii(self, n):
         # a few levels 0.1 apart: whole blocks of ties at every radius
         rng = np.random.default_rng(n)
         x = np.round(0.1 * rng.standard_normal(n), 1)
-        y = np.round(0.1 * rng.standard_normal(n), 1)
-        radii = assert_counts_match(x, y)
-        assert np.any(radii == 0.0)
+        ys = np.round(0.1 * rng.standard_normal((3, n)), 1)
+        radii = assert_counts_match(x, ys)
+        assert np.all(np.any(radii == 0.0, axis=1))
 
     @pytest.mark.parametrize("n", [100, 1000, 4500])
     def test_tiny_scale_with_offset(self, n):
-        # p +- r rounds to a neighbouring float, so searchsorted alone
+        # c +- r rounds to a neighbouring float, so searchsorted alone
         # lands one tie block off
         rng = np.random.default_rng(n + 1)
         x = 3.0 + 1e-13 * rng.standard_normal(n)
-        y = 3.0 + 1e-8 * rng.standard_normal(n)
-        assert_counts_match(x, y)
+        ys = 3.0 + np.array([[1e-8], [1e-13]]) * rng.standard_normal((2, n))
+        assert_counts_match(x, ys)
+        assert_counts_match(ys[0], [x])
 
     @pytest.mark.parametrize("n", [300, 4500])
     def test_continuous_data(self, n):
         rng = np.random.default_rng(n + 2)
-        assert_counts_match(rng.standard_normal(n), rng.standard_normal(n))
+        assert_counts_match(rng.standard_normal(n), rng.standard_normal((4, n)))
+
+    def test_radii_at_exact_gaps(self):
+        # every radius is the distance to another entry, the edge a
+        # marginal's window usually has; and radii of 0 and of the
+        # whole spread
+        column = np.array([0.5, -1.0, 0.25, 0.25, 2.0, -1.0, 0.75, 0.25])
+        radii = np.abs(column[:, None] - column).T
+        radii = np.vstack([radii, np.zeros(8), np.full(8, 3.0), np.full(8, 3.5)])
+        counts = _strict_counts(column[:, None], radii)
+        for row, row_counts in zip(radii, counts):
+            assert np.array_equal(row_counts, reference_counts(column, row))
+        assert list(counts[-3]) == [1, 2, 3, 3, 1, 2, 1, 3]
+        assert list(counts[-1]) == [8] * 8
 
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         n=st.integers(min_value=2, max_value=400),
+        rows=st.sampled_from([None, 1, 3]),
         decimals=st.sampled_from([None, 0, 1, 2]),
         scale=st.sampled_from([1.0, 1e-8, 1e-13]),
         offset=st.sampled_from([0.0, 3.0, -1e6]),
     )
     @settings(max_examples=60, deadline=None)
-    def test_any_radii_match_the_kd_tree(self, seed, n, decimals, scale, offset):
+    def test_any_radii_match_the_kd_tree(self, seed, n, rows, decimals, scale, offset):
         rng = np.random.default_rng(seed)
         column = rng.standard_normal(n)
         if decimals is not None:
             column = np.round(column, decimals)
         column = offset + scale * column
-        # radii from 0 to the full spread, plus exact gaps between samples
-        radii = np.abs(rng.standard_normal(n)) * rng.choice([0.0, 1e-3, 1.0], n) * scale
-        gaps = np.abs(column - rng.permutation(column))
-        radii = np.where(rng.random(n) < 0.5, gaps, radii)
+        # radii from 0 to the full spread, plus exact gaps between
+        # samples; one row (rows None) or a stack of rows
+        shape = (n,) if rows is None else (rows, n)
+        radii = np.abs(rng.standard_normal(shape)) * rng.choice([0.0, 1e-3, 1.0], shape) * scale
+        gaps = np.abs(column - rng.permuted(np.broadcast_to(column, shape), axis=-1))
+        radii = np.where(rng.random(shape) < 0.5, gaps, radii)
         counts = _strict_counts(column[:, None], radii)
-        assert np.array_equal(counts, reference_counts(column, radii))
+        assert counts.shape == shape
+        for row, row_counts in zip(np.atleast_2d(radii), np.atleast_2d(counts)):
+            assert np.array_equal(row_counts, reference_counts(column, row))
 

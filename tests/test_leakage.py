@@ -173,8 +173,10 @@ class TestEstimateModeLeakage:
             # 7 divides no sample count below: the last block is short
             monkeypatch.setattr(leakage, "_BLOCK", block)
         if candidates is not None:
-            # k + 1 candidates: few points find their k-th joint neighbor
-            # among them; at least N - 1: nearly every point does
+            # 4 leaves the 4k = 12 floor at k = 3: about half the points
+            # of the Gaussian and the 0.1-rounded draws find their k-th
+            # joint neighbor among them; at least N - 1: nearly every
+            # point does
             monkeypatch.setattr(leakage, "_NEIGHBOR_CANDIDATES", candidates)
 
         def rounded(samples):
@@ -225,6 +227,42 @@ class TestEstimateModeLeakage:
         for samples in (gaussian, rounded(gaussian)):
             result = check(samples, wide, (Mode.DFL,), corrupt_nodes=[0])[Mode.DFL]
             assert [i for _, i, _ in result.pairs if i > 20] == [21, 22, 23]
+
+    @pytest.mark.parametrize("decimals", [None, 1], ids=["gaussian", "rounded"])
+    def test_mi_scores_every_listed_target_as_knn_mi(self, decimals):
+        # a one-column observation (an SA aggregate, a single DFL
+        # neighbor) is counted once for the stack of every target's
+        # radii; a two-column one goes target by target
+        data = draw_gradient_samples(6, 300, seed=5).data
+        if decimals is not None:
+            data = np.round(data, decimals)
+        est = leakage._CellEstimator(data, 3)
+        targets = [4, 1, 5, 2]
+        for observed in (data[:, 1:].sum(axis=1), data[:, 3], data[:, [0, 3]]):
+            est.observe(observed)
+            assert est.mi([]) == []
+            values = est.mi(targets)
+            assert values == [knn_mi(observed, data[:, i]).value for i in targets]
+            assert est.mi(targets[::-1]) == values[::-1]
+
+    @pytest.mark.parametrize("k", [16, 32, 40])
+    def test_dfl_candidates_grow_with_k(self, k):
+        # max(32, 4k) candidates per point: a fixed 32 settled fewer
+        # points the closer k came to it, and none from k = 32 on
+        n = 6
+        graph = Graph(n=n, edges=((0, 1), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5)))
+        data = draw_gradient_samples(n, 400, seed=k).data
+        result = estimate_mode_leakage(
+            Mode.DFL, SampleMatrix(data), graph=graph, k_nn=k, corrupt_nodes=[1, 3]
+        )
+        for corrupt, i, value in result.pairs:
+            nbrs = graph.neighbors(corrupt)
+            observed = data[:, i] if i in nbrs else data[:, nbrs]
+            assert value == knn_mi(observed, data[:, i], k=k).value, (corrupt, i)
+        est = leakage._CellEstimator(data, k)
+        est.observe(data[:, graph.neighbors(1)])
+        est._observe_matrix()
+        assert est._candidates[0].shape == (400, max(32, 4 * k))
 
     def test_dfl_memory_stays_below_one_distance_matrix(self):
         # peak below half of one N x N float64 array: the observation's
