@@ -223,8 +223,9 @@ def invert_gradient(
       - a zero observation carries no signal and returns its initial
         dummy unchanged;
       - a row whose own gradient vanishes (a saturated prediction:
-        |a|^2, and so |g|^2, rounds to 0) stops there for good, while
-        the other rows go on;
+        a = 0 exactly) stops there for good, while the other rows go
+        on; a nonzero a too small for |a|^2 goes on, its direction
+        taken from a times a power of two;
       - a non-finite cosine on any running row raises RuntimeError,
         naming the row's index in ``observed``.
     Stopped rows leave the descent, so they cost nothing after they
@@ -297,28 +298,39 @@ def invert_gradient(
         p = _softmax(x_run @ w.T + model.b)
         a = p - one_hot
         a_sq = np.einsum("rc,rc->r", a, a)
-        if not a_sq.all():  # saturated prediction: no gradient signal left
+        a_scaled = a
+        if not a_sq.all():
+            # |a|^2 is 0 for a = 0, a saturated prediction with no
+            # gradient signal left, and for a nonzero a that underflows
+            # it. This step then takes v below, which is scale-free in a,
+            # from a times 2^-e, e the exponent of max|a|: exact, so a
+            # row that does not underflow keeps every bit.
+            _, e = np.frexp(np.abs(a).max(axis=1))
+            a_scaled = np.ldexp(a, -e[:, None])
+            a_sq = np.einsum("rc,rc->r", a_scaled, a_scaled)
             keep = a_sq != 0.0
-            x[running[~keep]] = x_run[~keep]
-            running, x_run, o_w, o_b, one_hot, p, a, a_sq = (
-                v[keep] for v in (running, x_run, o_w, o_b, one_hot, p, a, a_sq)
-            )
-            back = []
-            if not running.size:
-                break
+            if not keep.all():
+                x[running[~keep]] = x_run[~keep]
+                running, x_run, o_w, o_b, one_hot, p, a, a_scaled, a_sq = (
+                    v[keep] for v in (running, x_run, o_w, o_b, one_hot, p, a, a_scaled, a_sq)
+                )
+                back = []
+                if not running.size:
+                    break
         ox = (o_w @ x_run[:, :, None])[:, :, 0] + o_b
         dot = np.einsum("rc,rc->r", a, ox)  # |g| cos
+        dot_scaled = dot if a_scaled is a else np.einsum("rc,rc->r", a_scaled, ox)
         x_sq1 = np.einsum("rq,rq->r", x_run, x_run) + 1.0
         bad = ~np.isfinite(dot)
         if bad.any():
-            cos = dot / np.sqrt(a_sq * x_sq1)
+            cos = dot_scaled / np.sqrt(a_sq * x_sq1)
             raise RuntimeError(
                 f"gradient matching diverged at iteration {it}: "
                 f"cosine={cos[bad][0]} (row {running[bad][0]})"
             )
         # h = -|g| d(1 - cos)/dx via the chain rule through g(x); the
         # softmax Jacobian diag(p) - p p^T acts on v = ox - (dot/|a|^2) a.
-        pv = p * (ox - (dot / a_sq)[:, None] * a)
+        pv = p * (ox - (dot_scaled / a_sq)[:, None] * a_scaled)
         h = (
             (pv - p * pv.sum(axis=1, keepdims=True)) @ w
             + (a[:, None, :] @ o_w)[:, 0]

@@ -25,7 +25,8 @@ sorted order, and one call counts a whole (T, N) stack of radii, so
 the estimates that share a one-column marginal count it together
 (leakage._CellEstimator). Every kd-tree query runs on the calling thread
 (scipy's default, workers=1): a sweep spreads its estimates over CPUs
-one (cell, mode) unit per worker process (leakage.run_experiment), and
+one (cell, mode, corrupt node) task at a time per worker process
+(leakage.run_experiment), and
 splitting each small query over threads too cost more in thread starts
 and lock waits than it saved.
 """

@@ -159,8 +159,10 @@ class TestInvertGradient:
 def reference_descent(observed, model, label, iters, seed, lr=0.1):
     """The one-target descent loop that the batch replaced, kept as the
     reference: gemv products, the dense gradient g and a break on a zero
-    gradient. Yields the dummy before the first step and after each step
-    it takes."""
+    gradient. g is built from a times a power of two, which leaves the
+    cosine and the step's signs as they are, so that a nonzero a whose
+    |g| would underflow still descends. Yields the dummy before the first
+    step and after each step it takes."""
     x = np.random.default_rng(seed).uniform(0.0, 1.0, model.n_pixels)
     yield x
     obs_norm = np.linalg.norm(observed)
@@ -175,7 +177,8 @@ def reference_descent(observed, model, label, iters, seed, lr=0.1):
         p /= p.sum()
         a = p.copy()
         a[label] -= 1.0
-        g = np.concatenate([np.outer(a, x).ravel(), a])
+        a_scaled = np.ldexp(a, -np.frexp(np.abs(a).max())[1])
+        g = np.concatenate([np.outer(a_scaled, x).ravel(), a_scaled])
         g_norm = np.linalg.norm(g)
         if g_norm == 0.0:
             return
@@ -370,8 +373,13 @@ class TestSaturationMidDescent:
         model, observed, labels, seeds, recons = batch
         start = ToyImage(pixels=dummy(seeds[1]).reshape(8, 8), label=3)
         assert np.any(toy_gradient(model, start))
-        # where it stops, its gradient's norm underflows to 0
-        assert np.linalg.norm(toy_gradient(model, recons[1])) == 0.0
+        # on its way, a step has a nonzero gradient whose norm underflows
+        # to 0; the row goes on from there, and stops only where its
+        # gradient is exactly 0
+        path = reference_descent(observed[1], model, 3, self.ITERS, seeds[1])
+        grads = [toy_gradient(model, ToyImage(x.reshape(8, 8), 3)) for x in path]
+        assert any(np.any(g) and np.linalg.norm(g) == 0.0 for g in grads[:-1])
+        assert not np.any(toy_gradient(model, recons[1]))
         assert not np.array_equal(recons[1].pixels, start.pixels)
 
     def test_each_row_equals_its_batch_of_one_and_the_reference(self, batch):

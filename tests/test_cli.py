@@ -256,6 +256,7 @@ class TestSimulateOutputs:
         assert "output_svg" not in (out / "manifest.txt").read_text()
 
 
+    @pytest.mark.usefixtures("stall_guard")
     def test_progress_line_per_cell(self, tmp_path, capsys):
         argv = ["--n", "4,5", "--densities", "1.0", "--samples", "100"]
         assert simulate(tmp_path, *argv) == EXIT_OK
@@ -267,21 +268,26 @@ class TestSimulateOutputs:
             "[simulate] cell 2/2 n=5 density=1 done",
         ]
 
+    @pytest.mark.usefixtures("stall_guard")
     def test_failing_unit_is_a_runtime_error(self, tmp_path, capsys, monkeypatch):
         def failing(*args, **kwargs):
             raise ValueError("no estimate")
 
-        monkeypatch.setattr(leakage, "estimate_mode_leakage", failing)
+        # the function each pool task runs
+        monkeypatch.setattr(leakage, "_corrupt_pairs", failing)
         assert simulate(tmp_path, *SMALL_SWEEP) == EXIT_RUNTIME
         assert "error: no estimate" in capsys.readouterr().err
 
+    @pytest.mark.usefixtures("stall_guard")
     def test_sigterm_leaves_no_worker(self, tmp_path):
         src = Path(fedleak.__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=str(src))
-        # The second cell's one unit takes seconds, so a worker left
-        # behind would still be computing it when the check below ends.
+        # Each of the second cell's 40 tasks (one corrupt node, 39 pairs
+        # on 40,000 samples) takes seconds, so a worker left behind would
+        # still be computing one when the check below ends.
         argv = [sys.executable, "-m", "fedleak.cli", "simulate", "--n", "4,40",
-                "--densities", "1.0", "--modes", "cfl_sa", "--out-dir", str(tmp_path / "out")]
+                "--densities", "1.0", "--modes", "cfl_sa", "--samples", "40000",
+                "--out-dir", str(tmp_path / "out")]
         proc = subprocess.Popen(argv, env=env, stderr=subprocess.PIPE, start_new_session=True)
         try:
             seen = b""

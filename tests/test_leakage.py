@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import os
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from fedleak.leakage import (
     CellSummary,
     ExperimentConfig,
     LeakageReport,
+    PairLeakage,
     analytic_cell_average,
     cell_seed_sequences,
     cell_topology,
@@ -401,6 +403,36 @@ class TestRunExperiment:
         assert a[1] == b[1] != c[1]
 
 
+def serial_report(config):
+    """run_experiment's report built from one estimate_mode_leakage call
+    per (cell, mode), in one process."""
+    pairs, summary = [], []
+    for n in config.n_values:
+        for density in config.densities:
+            sample_ss, _, _ = cell_seed_sequences(config.seed, n, density)
+            samples = draw_gradient_samples(n, config.samples, sample_ss)
+            graph, weights = cell_topology(config.seed, n, density)
+            results = {
+                mode: estimate_mode_leakage(mode, samples, graph, weights, k_nn=config.k_nn)
+                for mode in config.modes
+            }
+            cfl = results[Mode.CFL].average
+            for mode, result in results.items():
+                closed, analytic = leakage._closed_forms(mode, n, graph, weights)
+                pairs += [
+                    PairLeakage(mode, n, density, k, i, value, closed.get((k, i), math.nan))
+                    for k, i, value in result.pairs
+                ]
+                actual = graph.density if mode.decentralized else math.nan
+                summary.append(
+                    CellSummary(
+                        mode, n, density, actual, result.average, analytic, result.average / cfl
+                    )
+                )
+    return pairs, summary
+
+
+@pytest.mark.usefixtures("stall_guard")
 class TestWorkerPool:
     CONFIG = ExperimentConfig(n_values=(6,), densities=(0.6, 1.0), samples=300, seed=4)
 
@@ -432,29 +464,30 @@ class TestWorkerPool:
         assert multiprocessing.active_children() == []
 
     def test_unit_error_reaches_the_caller(self, monkeypatch):
-        real = leakage.estimate_mode_leakage
+        # _corrupt_pairs is the function each pool task runs
+        real = leakage._corrupt_pairs
 
-        def failing(mode, *args, **kwargs):
+        def failing(est, mode, *args):
             if mode is Mode.DFL:
                 raise ValueError("no estimate for dfl")
-            return real(mode, *args, **kwargs)
+            return real(est, mode, *args)
 
-        monkeypatch.setattr(leakage, "estimate_mode_leakage", failing)
+        monkeypatch.setattr(leakage, "_corrupt_pairs", failing)
         with pytest.raises(ValueError, match="^no estimate for dfl$"):
             run_experiment(self.CONFIG)
         assert multiprocessing.active_children() == []
 
     def test_wrapped_estimator_runs_in_the_workers(self, monkeypatch, tmp_path):
-        # A tracer replaces estimate_mode_leakage with a closure, which
-        # cannot be pickled; the workers must still run it.
+        # A wrapper put in place of _corrupt_pairs (a tracer's) is a
+        # closure, which cannot be pickled; the workers must still run it.
         expected = self.exact(run_experiment(self.CONFIG))
-        real = leakage.estimate_mode_leakage
+        real = leakage._corrupt_pairs
 
-        def wrapper(mode, *args, **kwargs):
+        def wrapper(est, mode, *args):
             (tmp_path / mode.value).touch()
-            return real(mode, *args, **kwargs)
+            return real(est, mode, *args)
 
-        monkeypatch.setattr(leakage, "estimate_mode_leakage", wrapper)
+        monkeypatch.setattr(leakage, "_corrupt_pairs", wrapper)
         assert self.exact(run_experiment(self.CONFIG)) == expected
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(m.value for m in ALL_MODES)
 
@@ -462,6 +495,39 @@ class TestWorkerPool:
         calls = []
         run_experiment(self.CONFIG, lambda *args: calls.append(args))
         assert calls == [(1, 2, 6, 0.6), (2, 2, 6, 1.0)]
+
+    def test_small_tasks_give_the_serial_report(self, monkeypatch, tmp_path):
+        # One task per (cell, mode, corrupt node), on inputs the workers
+        # inherit at fork; each worker builds a cell's estimator once.
+        config = ExperimentConfig(n_values=(6, 9), densities=(0.6, 1.0), samples=300, seed=5)
+        tasks = []
+        real_pool = leakage._pool_results
+
+        def pool_results(groups, *args):
+            tasks.extend(task for group in groups for task in group)
+            return real_pool(groups, *args)
+
+        class Estimator(leakage._CellEstimator):
+            def __init__(self, data, k):
+                super().__init__(data, k)
+                with open(tmp_path / str(os.getpid()), "a") as log:
+                    log.write(f"{id(data)}\n")
+
+        monkeypatch.setattr(leakage, "_pool_results", pool_results)
+        monkeypatch.setattr(leakage, "_CellEstimator", Estimator)
+        report = run_experiment(config)
+        monkeypatch.undo()
+
+        # per cell: one CFL task and n per other mode
+        assert len(tasks) == 2 * (1 + 3 * 6) + 2 * (1 + 3 * 9)
+        assert max(len(pickle.dumps(task)) for task in tasks) < 200
+        pairs, summary = serial_report(config)
+        assert repr(report.pairs) == repr(pairs)
+        assert repr(report.summary) == repr(summary)
+        workers = [log.read_text().split() for log in tmp_path.iterdir()]
+        assert 1 <= len(workers) <= len(os.sched_getaffinity(0))
+        for cells in workers:
+            assert len(cells) == len(set(cells)) <= 4
 
 
 def synthetic_report(cells):
