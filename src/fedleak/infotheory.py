@@ -23,12 +23,13 @@ column, any other on a kd-tree; both apply that same rule, so either
 gives the same counts. On the sorted column the query points go in
 sorted order, and one call counts a whole (T, N) stack of radii, so
 the estimates that share a one-column marginal count it together
-(leakage._CellEstimator). Every kd-tree query runs on the calling thread
-(scipy's default, workers=1): a sweep spreads its estimates over CPUs
-one (cell, mode, corrupt node) task at a time per worker process
-(leakage.run_experiment), and
-splitting each small query over threads too cost more in thread starts
-and lock waits than it saved.
+(leakage._CellEstimator, built once per sweep cell before the sweep's
+workers fork, holds every sample column sorted and counts against
+those copies). Every kd-tree query runs on the calling thread (scipy's
+default, workers=1): a sweep spreads its estimates over CPUs one
+(cell, mode, corrupt node) task at a time per worker process
+(leakage.run_experiment), and splitting each small query over threads
+too cost more in thread starts and lock waits than it saved.
 """
 
 from __future__ import annotations

@@ -36,11 +36,12 @@ corrupt node. They are reported for the secure-aggregation modes, whose
 values are finite; for CFL and DFL they are +inf on every shown target.
 
 A sweep (run_experiment) is a grid of independent cells. The parent
-draws every cell's inputs, then forks one worker per usable CPU, which
+draws every cell's inputs and builds the cell's estimator, which is
+never changed afterwards, then forks one worker per usable CPU, which
 inherits them. Each pool task is one (cell, mode, corrupt node): the
-pairs of one corrupt node, or of a CFL cell. The parent assembles the
-report in sweep order, so the report does not depend on the number of
-workers.
+pairs of one corrupt node, or of a CFL cell, which a worker only looks
+up and scores. The parent assembles the report in sweep order, so the
+report does not depend on the number of workers.
 """
 
 from __future__ import annotations
@@ -61,12 +62,11 @@ from scipy.special import digamma
 
 from .infotheory import (
     SampleMatrix,
-    _SortedColumn,
+    _check_shapes,
     _count_index,
     _kth_neighbor_radius,
     _strict_counts,
     gaussian_view_mi,
-    knn_mi,
 )
 from .protocol import ALL_MODES, Mode, extract_observation, view_matrix
 from .topology import (
@@ -221,124 +221,113 @@ def draw_gradient_samples(n: int, samples: int, seed) -> SampleMatrix:
 
 
 class _CellEstimator:
-    """KSG evaluator shared by the many estimates in one cell.
+    """KSG evaluator of one cell's sample columns, built once and never
+    changed afterwards, so one instance serves every estimate of the
+    cell, in any order and in any process that inherits it.
 
-    mi(targets) gives, for each target i, exactly knn_mi(observation,
-    G_i) (same radii, same strict counts) for the observation last
-    passed to observe(), and self_mi(i) exactly knn_mi(G_i, G_i). A
-    multi-column observation takes each target's radii and counts from
-    each point's nearest observation neighbors (_observe_matrix), found
-    once per observation, and recounts the points they do not settle on
-    their rows of its max-norm distance matrix, computed _BLOCK rows at
-    a time (_matrix_counts). A one-column observation takes every
-    target's radii from _kth_neighbor_radius first, then counts the
-    observation once for the whole (targets, N) stack of radii with
-    _strict_counts over its sorted column (_column_counts). Target
-    counts always come from _strict_counts on the target's sorted
-    column, one row of radii each; that column and the self term are
-    cached for the whole cell.
+    The constructor checks k against the sample count as knn_mi does,
+    sorts every column (_count_index) and computes every column's self
+    term. mi(observed, targets) gives, for each target i, exactly
+    knn_mi(observed, G_i) (same radii, same strict counts), and
+    self_mi(i) exactly knn_mi(G_i, G_i). A multi-column observation
+    takes each target's radii and counts from each point's nearest
+    observation neighbors (_observe_matrix), found once per call, and
+    recounts the points they do not settle on their rows of its
+    max-norm distance matrix, computed _BLOCK rows at a time
+    (_matrix_counts). A one-column observation takes every target's
+    radii from _kth_neighbor_radius first, then counts the observation
+    once for the whole (targets, N) stack of radii with _strict_counts
+    over its sorted column (_column_counts). Target counts always come
+    from _strict_counts on the target's sorted column, one row of radii
+    each.
     """
 
     def __init__(self, data: np.ndarray, k: int):
+        _check_shapes(k, data)
         self.data = data
         self.k = k
         self._psi = float(digamma(k)) + float(digamma(data.shape[0]))
-        self._sorted_columns: dict[int, _SortedColumn] = {}
-        self._self_mi: dict[int, float] = {}
-        self._x: np.ndarray | None = None
-        self._x_index = None
-        # None until _observe_matrix runs; () when it keeps no candidates
-        self._candidates: tuple[np.ndarray, ...] | None = None
+        self._sorted_columns = [_count_index(data[:, i, None]) for i in range(data.shape[1])]
+        self._self_mi = [self._self_term(i) for i in range(data.shape[1])]
 
     def self_mi(self, i: int) -> float:
-        """I(G_i; G_i): the term of a target the observation shows.
-
-        In one dimension a point's nearest neighbors on each side come in
-        order, so its k+1 nearest distances (itself included) lie in a
-        +-k window of the sorted column. When every point's k-th distance
-        is strictly beyond its (k-1)-th (and so above 0), exactly k points
-        lie strictly inside each radius in both marginals, and the value
-        is knn_mi's expression with every count k. Otherwise knn_mi runs.
-        """
-        if i not in self._self_mi:
-            k = self.k
-            column = self._sorted_column(i).values
-            n = len(column)
-            pad = np.full(k, np.inf)
-            windows = sliding_window_view(np.concatenate([pad, column, pad]), 2 * k + 1)
-            dist = np.abs(windows - column[:, None])
-            dist.partition((k - 1, k), axis=1)
-            if n > k and np.all(dist[:, k] > dist[:, k - 1]):
-                counts = np.full(n, k)
-                value = float(digamma(k) + digamma(n) - np.mean(digamma(counts) + digamma(counts)))
-            else:
-                value = knn_mi(self.data[:, i], self.data[:, i], k=k).value
-            self._self_mi[i] = value
+        """I(G_i; G_i): the term of a target the observation shows."""
         return self._self_mi[i]
 
-    def observe(self, observed: np.ndarray) -> None:
-        """Make observed, an (N,) or (N, d) array, the one mi() scores."""
-        self._x = observed.reshape(len(observed), -1)
-        self._x_index = self._candidates = None
+    def _self_term(self, i: int) -> float:
+        """knn_mi(G_i, G_i), ties included. In one dimension a point's
+        nearest neighbors on each side come in order, so its k+1 nearest
+        distances (itself included) lie in a +-k window of the sorted
+        column: the largest of them, its k-th neighbor's, is its radius
+        in the joint space, whose max-norm distances are the column's
+        own. Both marginals are the column, so both count the same
+        points."""
+        k = self.k
+        column = self._sorted_columns[i]
+        pad = np.full(k, np.inf)
+        windows = sliding_window_view(np.concatenate([pad, column.values, pad]), 2 * k + 1)
+        dist = np.abs(windows - column.values[:, None])
+        dist.partition(k, axis=1)
+        radii = np.empty(len(dist))
+        radii[column.order] = dist[:, k]
+        counts = self._target_counts(i, radii)
+        return self._psi - float(np.mean(digamma(counts) + digamma(counts)))
 
-    def mi(self, targets: Sequence[int]) -> list[float]:
-        """I(observation; G_i) in nats for each target i, in order."""
-        if self._x.shape[1] > 1:
-            counts = [self._matrix_counts(i) for i in targets]
-        else:
-            counts = self._column_counts(targets)
-        return [self._psi - float(np.mean(digamma(cx) + digamma(cy))) for cx, cy in counts]
-
-    def _sorted_column(self, i: int) -> _SortedColumn:
-        if i not in self._sorted_columns:
-            self._sorted_columns[i] = _count_index(self.data[:, i, None])
-        return self._sorted_columns[i]
-
-    def _target_counts(self, i: int, radii: np.ndarray) -> np.ndarray:
-        return _strict_counts(self.data[:, i, None], radii, index=self._sorted_column(i))
-
-    def _column_counts(self, targets: Sequence[int]) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Observation and target counts of each target's mi on a
-        one-column observation: the observation is counted once, for
-        the stack of every target's radii."""
+    def mi(self, observed: np.ndarray, targets: Sequence[int]) -> list[float]:
+        """I(observed; G_i) in nats for each target i, in order, where
+        observed is an (N,) or (N, d) array."""
         if not targets:
             return []
+        x = observed.reshape(len(observed), -1)
+        if x.shape[1] > 1:
+            candidates = self._observe_matrix(x)
+            counts = [self._matrix_counts(x, candidates, i) for i in targets]
+        else:
+            counts = self._column_counts(x, targets)
+        return [self._psi - float(np.mean(digamma(cx) + digamma(cy))) for cx, cy in counts]
+
+    def _target_counts(self, i: int, radii: np.ndarray) -> np.ndarray:
+        return _strict_counts(self.data[:, i, None], radii, index=self._sorted_columns[i])
+
+    def _column_counts(
+        self, x: np.ndarray, targets: Sequence[int]
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Observation and target counts of each target's mi on the
+        one-column observation x: x is counted once, for the stack of
+        every target's radii."""
         radii = np.stack(
-            [
-                _kth_neighbor_radius(np.hstack([self._x, self.data[:, i, None]]), self.k)
-                for i in targets
-            ]
+            [_kth_neighbor_radius(np.hstack([x, self.data[:, i, None]]), self.k) for i in targets]
         )
-        if self._x_index is None:
-            self._x_index = _count_index(self._x)
-        counts = _strict_counts(self._x, radii, index=self._x_index)
+        counts = _strict_counts(x, radii)
         return [(counts[t], self._target_counts(i, radii[t])) for t, i in enumerate(targets)]
 
-    def _observe_matrix(self) -> None:
-        """Per point, the indices and distances of its m nearest
-        observation neighbors (itself among them) and the (m+1)-th
-        smallest distance b, a bound below every other point's distance,
-        taken from the observation's distance rows _BLOCK at a time.
-        m = min(max(_NEIGHBOR_CANDIDATES, 4k), N-1): a fixed m would
-        settle fewer points the closer k came to it, and none from k = m
-        on. With m <= k the candidates cannot hold a k-th neighbor and
-        none are kept."""
-        n = len(self._x)
+    def _observe_matrix(self, x: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Per point of the multi-column observation x, the indices and
+        distances of its m nearest observation neighbors (itself among
+        them) and the (m+1)-th smallest distance b, a bound below every
+        other point's distance, taken from x's distance rows _BLOCK at a
+        time. m = min(max(_NEIGHBOR_CANDIDATES, 4k), N-1): a fixed m
+        would settle fewer points the closer k came to it, and none from
+        k = m on. With m <= k the candidates cannot hold a k-th neighbor,
+        and () is returned."""
+        n = len(x)
         m = min(max(_NEIGHBOR_CANDIDATES, 4 * self.k), n - 1)
         if m <= self.k:
-            self._candidates = ()
-            return
+            return ()
         nearest = np.empty((n, m + 1), dtype=np.intp)
         near_dist = np.empty((n, m + 1))
         for start in range(0, n, _BLOCK):
             rows = slice(start, start + _BLOCK)
-            dist = cdist(self._x[rows], self._x, "chebyshev")
+            dist = cdist(x[rows], x, "chebyshev")
             nearest[rows] = np.argpartition(dist, m, axis=1)[:, : m + 1]
             near_dist[rows] = np.take_along_axis(dist, nearest[rows], axis=1)
-        self._candidates = (nearest[:, :m], near_dist[:, :m], near_dist[:, m])
+        return nearest[:, :m], near_dist[:, :m], near_dist[:, m]
 
-    def _matrix_counts(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Radii and observation counts of mi(i) on the matrix path.
+    def _matrix_counts(
+        self, x: np.ndarray, candidates: tuple[np.ndarray, ...], i: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Observation and target counts of target i's mi on the
+        multi-column observation x, given _observe_matrix(x).
 
         For a point with candidate bound b, every point outside its
         candidates is at least b away in the observation, and so in the
@@ -350,15 +339,13 @@ class _CellEstimator:
         knn_mi's rule reads: joint distance max(observation distance,
         |y_a - y_b|), k-th smallest (itself at 0 included), count of
         observation distances <= nextafter(r, 0)."""
-        if self._candidates is None:
-            self._observe_matrix()
         y = self.data[:, i]
-        if not self._candidates:
+        if not candidates:
             radii = np.empty(len(y))
             counts = np.empty(len(y), dtype=np.intp)
             rows = np.arange(len(y))
         else:
-            nearest, near_dist, bound = self._candidates
+            nearest, near_dist, bound = candidates
             joint = np.maximum(near_dist, np.abs(y[:, None] - y[nearest]))
             joint.partition(self.k, axis=1)
             radii = joint[:, self.k]
@@ -367,7 +354,7 @@ class _CellEstimator:
             rows = np.flatnonzero((bound < radii) | (bound <= strict))
         for start in range(0, rows.size, _BLOCK):
             block = rows[start : start + _BLOCK]
-            x_dist = cdist(self._x[block], self._x, "chebyshev")
+            x_dist = cdist(x[block], x, "chebyshev")
             joint = y[block, None] - y
             np.maximum(np.abs(joint, out=joint), x_dist, out=joint)
             joint.partition(self.k, axis=1)
@@ -394,10 +381,9 @@ def _corrupt_pairs(
     sample columns, scored by est."""
     data = est.data
     observed, visible = extract_observation(mode, k, data, graph, weights)
-    est.observe(observed)
     targets = [i for i in range(data.shape[1]) if i != k]
     hidden = [i for i in targets if i not in visible]
-    scored = dict(zip(hidden, est.mi(hidden)))
+    scored = dict(zip(hidden, est.mi(observed, hidden)))
     return [(k, i, est.self_mi(i) if i in visible else scored[i]) for i in targets]
 
 
@@ -490,35 +476,26 @@ def analytic_cell_average(
 
 
 # A pool worker's inputs, set by _init_worker in the forked worker only:
-# (sample columns, graph, weights) of every cell and the sweep's k_nn,
-# and the estimator of the cell the worker last served, as (cell index,
-# estimator).
-_worker_cells: Sequence[tuple[np.ndarray, Graph | None, WeightMatrix | None]] = ()
-_worker_k_nn = 0
-_worker_estimator: tuple[int, _CellEstimator] | None = None
+# the (estimator, graph, weights) of every cell.
+_worker_cells: Sequence[tuple[_CellEstimator, Graph | None, WeightMatrix | None]] = ()
 
 
 def _estimate_unit(task: tuple[int, Mode, int]) -> list[tuple[int, int, float]]:
     """The pairs of one (cell index, mode, corrupt node), run in a pool
-    worker on the cell's inputs, which the worker inherited at fork.
-
-    The worker keeps the estimator of the cell it last served, so each
-    cell's sorted columns and self terms are computed at most once per
-    worker: the tasks come in sweep order, and a worker never goes back
-    to an earlier cell. The pool pickles this function by name; the
-    worker looks _corrupt_pairs up when it runs, so a wrapper put in its
-    place (a tracer's, a test's), which could not be pickled, still runs."""
-    global _worker_estimator
+    worker on the cell's estimator, graph and weights, which the parent
+    built before the fork and the worker inherited. The estimator is
+    never changed, so any worker may serve any cell's tasks in any order.
+    The pool pickles this function by name; the worker looks
+    _corrupt_pairs up when it runs, so a wrapper put in its place (a
+    tracer's, a test's), which could not be pickled, still runs."""
     cell, mode, k = task
-    data, graph, weights = _worker_cells[cell]
-    if _worker_estimator is None or _worker_estimator[0] != cell:
-        _worker_estimator = (cell, _CellEstimator(data, _worker_k_nn))
-    return _corrupt_pairs(_worker_estimator[1], mode, k, graph, weights)
+    est, graph, weights = _worker_cells[cell]
+    return _corrupt_pairs(est, mode, k, graph, weights)
 
 
-def _init_worker(cells, k_nn: int) -> None:
-    global _worker_cells, _worker_k_nn, _worker_estimator
-    _worker_cells, _worker_k_nn, _worker_estimator = cells, k_nn, None
+def _init_worker(cells) -> None:
+    global _worker_cells
+    _worker_cells = cells
     # The pool ends its workers with SIGTERM, so a worker takes its
     # default action, not the parent's handler. Ctrl-C reaches the whole
     # process group; only the parent acts on it.
@@ -535,7 +512,7 @@ def _raise_terminated(signum, frame):
 
 
 @contextmanager
-def _pool_results(tasks: list[list[tuple[int, Mode, int]]], cells, k_nn: int):
+def _pool_results(tasks: list[list[tuple[int, Mode, int]]], cells):
     """tasks is a list of task groups. Yield an iterator that gives, for
     each group in order, [_estimate_unit(task) for task in group].
 
@@ -544,17 +521,17 @@ def _pool_results(tasks: list[list[tuple[int, Mode, int]]], cells, k_nn: int):
     most about one task apart. The parent waits for each group as a
     whole: waking for every task's result cost it about 0.3 ms of CPU a
     task, on 2 CPUs.
-    Each worker inherits cells, the (sample columns, graph, weights) of
-    every cell, and k_nn at fork, through the pool's initializer
-    arguments, which a forked worker receives without pickling; a task
-    is then three small values. Forked workers also start with numpy and
-    scipy loaded and with the parent's binding of _corrupt_pairs;
-    spawned ones would import both again. Every worker is ended when the
-    block exits: after the last result, when a task raises (its
-    exception reaches the caller), or on SIGTERM, which then ends the
-    workers and the parent, by SIGTERM's default action. A process that
-    handles or ignores SIGTERM itself, or a thread other than the main
-    one (which cannot set a handler), keeps its own handling."""
+    Each worker inherits cells, the (estimator, graph, weights) of every
+    cell, at fork, through the pool's initializer arguments, which a
+    forked worker receives without pickling; a task is then three small
+    values. Forked workers also start with numpy and scipy loaded and
+    with the parent's binding of _corrupt_pairs; spawned ones would
+    import both again. Every worker is ended when the block exits:
+    after the last result, when a task raises (its exception reaches
+    the caller), or on SIGTERM, which then ends the workers and the
+    parent, by SIGTERM's default action. A process that handles or
+    ignores SIGTERM itself, or a thread other than the main one (which
+    cannot set a handler), keeps its own handling."""
     workers = min(len(os.sched_getaffinity(0)), sum(map(len, tasks)))
     catch = (
         threading.current_thread() is threading.main_thread()
@@ -564,7 +541,7 @@ def _pool_results(tasks: list[list[tuple[int, Mode, int]]], cells, k_nn: int):
         signal.signal(signal.SIGTERM, _raise_terminated)
     try:
         fork = multiprocessing.get_context("fork")
-        with fork.Pool(workers, _init_worker, (cells, k_nn)) as pool:
+        with fork.Pool(workers, _init_worker, (cells,)) as pool:
             groups = [pool.map_async(_estimate_unit, group, chunksize=1) for group in tasks]
             yield (group.get() for group in groups)
     except _Terminated:
@@ -582,17 +559,18 @@ def run_experiment(config: ExperimentConfig, progress=None) -> LeakageReport:
     Each cell derives its own RNG streams from (seed, n, density), so
     cells are independent of sweep order and may be recomputed in
     isolation. The parent draws every cell's samples, graph and weights
-    in sweep order. A pool of forked worker processes (_pool_results),
-    which inherit them, then scores each (cell, mode, corrupt node) as
-    one task, and the parent joins each (cell, mode)'s pairs in corrupt
-    order and averages them, as estimate_mode_leakage does. The report
-    is assembled in sweep order, and no result depends on the number of
-    workers. progress, when given, is called as progress(done, total, n,
-    density) once all of a cell's estimates have arrived."""
+    in sweep order and builds the cell's estimator on its samples. A
+    pool of forked worker processes (_pool_results), which inherit them,
+    then scores each (cell, mode, corrupt node) as one task, and the
+    parent joins each (cell, mode)'s pairs in task order, which is
+    corrupt order, and averages them, as estimate_mode_leakage does. The
+    report is assembled in sweep order, and no result depends on the
+    number of workers. progress, when given, is called as progress(done,
+    total, n, density) once all of a cell's estimates have arrived."""
     report = LeakageReport()
     needs_graph = any(m.decentralized for m in config.modes)
     cells = []  # (n, density, graph, weights, actual density) in sweep order
-    inputs = []  # (sample columns, graph, weights) of each cell, for the workers
+    inputs = []  # (estimator, graph, weights) of each cell, for the workers
     tasks = []  # per cell, its (cell index, mode, corrupt node) in sweep order
     for n in config.n_values:
         for density in config.densities:
@@ -608,16 +586,17 @@ def run_experiment(config: ExperimentConfig, progress=None) -> LeakageReport:
                 [(len(cells), mode, k) for mode in config.modes for k in _corrupt_nodes(mode, n)]
             )
             cells.append((n, density, graph, w, actual_density))
-            inputs.append((samples.data, graph, w))
+            inputs.append((_CellEstimator(samples.data, config.k_nn), graph, w))
 
-    with _pool_results(tasks, inputs, config.k_nn) as cell_results:
-        for done, (cell, task_results) in enumerate(zip(cells, cell_results), 1):
+    with _pool_results(tasks, inputs) as cell_results:
+        for done, (cell, group, task_results) in enumerate(zip(cells, tasks, cell_results), 1):
             n, density, graph, w, actual_density = cell
-            results = iter(task_results)
+            mode_pairs: dict[Mode, list[tuple[int, int, float]]] = {}
+            for (_, mode, _), pairs in zip(group, task_results):
+                mode_pairs.setdefault(mode, []).extend(pairs)
             averages: dict[Mode, float] = {}
             analytic: dict[Mode, float] = {}
-            for mode in config.modes:
-                pairs = [pair for _ in _corrupt_nodes(mode, n) for pair in next(results)]
+            for mode, pairs in mode_pairs.items():
                 averages[mode] = float(np.mean([p[2] for p in pairs]))
                 closed, analytic[mode] = _closed_forms(mode, n, graph, w)
                 for corrupt, target, value in pairs:
@@ -633,7 +612,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> LeakageReport:
                         )
                     )
             cfl_avg = averages.get(Mode.CFL, math.nan)
-            for mode in config.modes:
+            for mode in mode_pairs:
                 report.summary.append(
                     CellSummary(
                         mode=mode,

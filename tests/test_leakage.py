@@ -241,11 +241,24 @@ class TestEstimateModeLeakage:
         est = leakage._CellEstimator(data, 3)
         targets = [4, 1, 5, 2]
         for observed in (data[:, 1:].sum(axis=1), data[:, 3], data[:, [0, 3]]):
-            est.observe(observed)
-            assert est.mi([]) == []
-            values = est.mi(targets)
+            assert est.mi(observed, []) == []
+            values = est.mi(observed, targets)
             assert values == [knn_mi(observed, data[:, i]).value for i in targets]
-            assert est.mi(targets[::-1]) == values[::-1]
+            assert est.mi(observed, targets[::-1]) == values[::-1]
+
+    def test_no_targets_build_no_candidates(self, monkeypatch):
+        # CFL's observation, and DFL's on a complete graph, has many
+        # columns and no hidden target: no distance row may be computed
+        def no_cdist(*args, **kwargs):
+            raise AssertionError("cdist called")
+
+        monkeypatch.setattr(leakage, "cdist", no_cdist)
+        samples = draw_gradient_samples(6, 300, seed=2)
+        est = leakage._CellEstimator(samples.data, 3)
+        assert est.mi(samples.data[:, [0, 3]], []) == []
+        graph = generate_graph(6, 1.0, seed=0)
+        result = estimate_mode_leakage(Mode.DFL, samples, graph=graph)
+        assert len(result.pairs) == 6 * 5
 
     @pytest.mark.parametrize("k", [16, 32, 40])
     def test_dfl_candidates_grow_with_k(self, k):
@@ -262,9 +275,8 @@ class TestEstimateModeLeakage:
             observed = data[:, i] if i in nbrs else data[:, nbrs]
             assert value == knn_mi(observed, data[:, i], k=k).value, (corrupt, i)
         est = leakage._CellEstimator(data, k)
-        est.observe(data[:, graph.neighbors(1)])
-        est._observe_matrix()
-        assert est._candidates[0].shape == (400, max(32, 4 * k))
+        nearest, _, _ = est._observe_matrix(data[:, graph.neighbors(1)])
+        assert nearest.shape == (400, max(32, 4 * k))
 
     def test_dfl_memory_stays_below_one_distance_matrix(self):
         # peak below half of one N x N float64 array: the observation's
@@ -302,6 +314,22 @@ class TestEstimateModeLeakage:
         graph = Graph(n=4, edges=((0, 1), (1, 2)))  # node 3 is isolated
         with pytest.raises(ValueError, match="node 3 has no neighbors"):
             estimate_mode_leakage(Mode.DFL, samples, graph=graph)
+
+    @pytest.mark.parametrize("mode", ALL_MODES, ids=lambda m: m.value)
+    @pytest.mark.parametrize(
+        "n_samples, k_nn, message",
+        [(200, 0, "k must be >= 1, got 0"), (3, 3, "need more than k=3 samples, got 3")],
+        ids=["k0", "kN"],
+    )
+    def test_bad_k_nn_rejected_in_every_mode(self, mode, n_samples, k_nn, message):
+        # knn_mi's messages in every mode: the secure-aggregation modes
+        # returned 0.0 or raised IndexError, dfl numpy's "kth out of bounds"
+        samples = draw_gradient_samples(5, n_samples, seed=1)
+        graph = Graph(n=5, edges=tuple((j, (j + 1) % 5) for j in range(5)))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            estimate_mode_leakage(
+                mode, samples, graph=graph, weights=metropolis_weights(graph), k_nn=k_nn
+            )
 
     def test_corrupt_subsample_restricts_enumeration(self, small_cell):
         n, samples, graph, weights = small_cell
@@ -498,7 +526,8 @@ class TestWorkerPool:
 
     def test_small_tasks_give_the_serial_report(self, monkeypatch, tmp_path):
         # One task per (cell, mode, corrupt node), on inputs the workers
-        # inherit at fork; each worker builds a cell's estimator once.
+        # inherit at fork; the parent builds each cell's estimator once,
+        # before the fork, and no worker builds one.
         config = ExperimentConfig(n_values=(6, 9), densities=(0.6, 1.0), samples=300, seed=5)
         tasks = []
         real_pool = leakage._pool_results
@@ -524,10 +553,10 @@ class TestWorkerPool:
         pairs, summary = serial_report(config)
         assert repr(report.pairs) == repr(pairs)
         assert repr(report.summary) == repr(summary)
-        workers = [log.read_text().split() for log in tmp_path.iterdir()]
-        assert 1 <= len(workers) <= len(os.sched_getaffinity(0))
-        for cells in workers:
-            assert len(cells) == len(set(cells)) <= 4
+        (log,) = tmp_path.iterdir()
+        assert log.name == str(os.getpid())
+        cells = log.read_text().split()
+        assert len(cells) == len(set(cells)) == 4
 
 
 def synthetic_report(cells):
