@@ -20,9 +20,8 @@ agree). A target the view shows directly scores the self term; every
 other target gets one KSG estimate against the view. The test suite
 checks the averages against knn_cmi on the full observation.
 
-A view of several columns is scored from its max-norm distance rows,
-computed a block at a time: memory grows with the sample count, not
-with its square.
+Every estimate of a cell comes from its infotheory._CellEstimator;
+infotheory alone knows how the KSG radii and counts are computed.
 
 Self-information I(G_i; G_i) diverges for continuous variables: the
 estimator reports its finite value at the given sample count, never a
@@ -56,18 +55,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
-from scipy.spatial.distance import cdist
-from scipy.special import digamma
 
-from .infotheory import (
-    SampleMatrix,
-    _check_shapes,
-    _count_index,
-    _kth_neighbor_radius,
-    _strict_counts,
-    gaussian_view_mi,
-)
+from .infotheory import SampleMatrix, _CellEstimator, gaussian_view_mi
 from .protocol import ALL_MODES, Mode, extract_observation, view_matrix
 from .topology import (
     Graph,
@@ -94,20 +83,6 @@ __all__ = [
     "cell_seed_sequences",
     "cell_topology",
 ]
-
-# Rows of a multi-column observation's max-norm distance matrix held at
-# once (2 MB at N=1000). DFL at N=1000, n=8 to 50, ran alike with 128
-# and 256 rows and with the whole matrix; with 1024 rows, 5 % slower.
-_BLOCK = 256
-
-# Nearest observation neighbors kept per point on the matrix path, at
-# least; a larger k keeps 4k. A point whose k-th joint neighbor lies
-# among them is settled from them alone; any other is recounted on its
-# distance row. DFL at n=8, N=1000, k=3 took 0.26/0.12 s at density
-# 0.3/0.9 with 16 candidates, 0.19/0.11 s with 32 and 0.18/0.12 s with
-# 64; at n=30, density 0.6, 0.97 s with 32 and 1.16 s with 64.
-_NEIGHBOR_CANDIDATES = 32
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -218,150 +193,6 @@ def draw_gradient_samples(n: int, samples: int, seed) -> SampleMatrix:
     """n independent standard-normal columns, reproducible per seed."""
     rng = np.random.default_rng(seed)
     return SampleMatrix(data=rng.standard_normal((samples, n)))
-
-
-class _CellEstimator:
-    """KSG evaluator of one cell's sample columns, built once and never
-    changed afterwards, so one instance serves every estimate of the
-    cell, in any order and in any process that inherits it.
-
-    The constructor checks k against the sample count as knn_mi does,
-    sorts every column (_count_index) and computes every column's self
-    term. mi(observed, targets) gives, for each target i, exactly
-    knn_mi(observed, G_i) (same radii, same strict counts), and
-    self_mi(i) exactly knn_mi(G_i, G_i). A multi-column observation
-    takes each target's radii and counts from each point's nearest
-    observation neighbors (_observe_matrix), found once per call, and
-    recounts the points they do not settle on their rows of its
-    max-norm distance matrix, computed _BLOCK rows at a time
-    (_matrix_counts). A one-column observation takes every target's
-    radii from _kth_neighbor_radius first, then counts the observation
-    once for the whole (targets, N) stack of radii with _strict_counts
-    over its sorted column (_column_counts). Target counts always come
-    from _strict_counts on the target's sorted column, one row of radii
-    each.
-    """
-
-    def __init__(self, data: np.ndarray, k: int):
-        _check_shapes(k, data)
-        self.data = data
-        self.k = k
-        self._psi = float(digamma(k)) + float(digamma(data.shape[0]))
-        self._sorted_columns = [_count_index(data[:, i, None]) for i in range(data.shape[1])]
-        self._self_mi = [self._self_term(i) for i in range(data.shape[1])]
-
-    def self_mi(self, i: int) -> float:
-        """I(G_i; G_i): the term of a target the observation shows."""
-        return self._self_mi[i]
-
-    def _self_term(self, i: int) -> float:
-        """knn_mi(G_i, G_i), ties included. In one dimension a point's
-        nearest neighbors on each side come in order, so its k+1 nearest
-        distances (itself included) lie in a +-k window of the sorted
-        column: the largest of them, its k-th neighbor's, is its radius
-        in the joint space, whose max-norm distances are the column's
-        own. Both marginals are the column, so both count the same
-        points."""
-        k = self.k
-        column = self._sorted_columns[i]
-        pad = np.full(k, np.inf)
-        windows = sliding_window_view(np.concatenate([pad, column.values, pad]), 2 * k + 1)
-        dist = np.abs(windows - column.values[:, None])
-        dist.partition(k, axis=1)
-        radii = np.empty(len(dist))
-        radii[column.order] = dist[:, k]
-        counts = self._target_counts(i, radii)
-        return self._psi - float(np.mean(digamma(counts) + digamma(counts)))
-
-    def mi(self, observed: np.ndarray, targets: Sequence[int]) -> list[float]:
-        """I(observed; G_i) in nats for each target i, in order, where
-        observed is an (N,) or (N, d) array."""
-        if not targets:
-            return []
-        x = observed.reshape(len(observed), -1)
-        if x.shape[1] > 1:
-            candidates = self._observe_matrix(x)
-            counts = [self._matrix_counts(x, candidates, i) for i in targets]
-        else:
-            counts = self._column_counts(x, targets)
-        return [self._psi - float(np.mean(digamma(cx) + digamma(cy))) for cx, cy in counts]
-
-    def _target_counts(self, i: int, radii: np.ndarray) -> np.ndarray:
-        return _strict_counts(self.data[:, i, None], radii, index=self._sorted_columns[i])
-
-    def _column_counts(
-        self, x: np.ndarray, targets: Sequence[int]
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Observation and target counts of each target's mi on the
-        one-column observation x: x is counted once, for the stack of
-        every target's radii."""
-        radii = np.stack(
-            [_kth_neighbor_radius(np.hstack([x, self.data[:, i, None]]), self.k) for i in targets]
-        )
-        counts = _strict_counts(x, radii)
-        return [(counts[t], self._target_counts(i, radii[t])) for t, i in enumerate(targets)]
-
-    def _observe_matrix(self, x: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Per point of the multi-column observation x, the indices and
-        distances of its m nearest observation neighbors (itself among
-        them) and the (m+1)-th smallest distance b, a bound below every
-        other point's distance, taken from x's distance rows _BLOCK at a
-        time. m = min(max(_NEIGHBOR_CANDIDATES, 4k), N-1): a fixed m
-        would settle fewer points the closer k came to it, and none from
-        k = m on. With m <= k the candidates cannot hold a k-th neighbor,
-        and () is returned."""
-        n = len(x)
-        m = min(max(_NEIGHBOR_CANDIDATES, 4 * self.k), n - 1)
-        if m <= self.k:
-            return ()
-        nearest = np.empty((n, m + 1), dtype=np.intp)
-        near_dist = np.empty((n, m + 1))
-        for start in range(0, n, _BLOCK):
-            rows = slice(start, start + _BLOCK)
-            dist = cdist(x[rows], x, "chebyshev")
-            nearest[rows] = np.argpartition(dist, m, axis=1)[:, : m + 1]
-            near_dist[rows] = np.take_along_axis(dist, nearest[rows], axis=1)
-        return nearest[:, :m], near_dist[:, :m], near_dist[:, m]
-
-    def _matrix_counts(
-        self, x: np.ndarray, candidates: tuple[np.ndarray, ...], i: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Observation and target counts of target i's mi on the
-        multi-column observation x, given _observe_matrix(x).
-
-        For a point with candidate bound b, every point outside its
-        candidates is at least b away in the observation, and so in the
-        joint space. If the k-th joint distance r among the candidates
-        has b >= r, it is the k-th over all points; if also b >
-        nextafter(r, 0), no outside point is counted. Such a point is
-        settled from its candidates; any other, and every point when no
-        candidates are kept, is recounted on its distance row, as
-        knn_mi's rule reads: joint distance max(observation distance,
-        |y_a - y_b|), k-th smallest (itself at 0 included), count of
-        observation distances <= nextafter(r, 0)."""
-        y = self.data[:, i]
-        if not candidates:
-            radii = np.empty(len(y))
-            counts = np.empty(len(y), dtype=np.intp)
-            rows = np.arange(len(y))
-        else:
-            nearest, near_dist, bound = candidates
-            joint = np.maximum(near_dist, np.abs(y[:, None] - y[nearest]))
-            joint.partition(self.k, axis=1)
-            radii = joint[:, self.k]
-            strict = np.nextafter(radii, 0.0)
-            counts = np.count_nonzero(near_dist <= strict[:, None], axis=1)
-            rows = np.flatnonzero((bound < radii) | (bound <= strict))
-        for start in range(0, rows.size, _BLOCK):
-            block = rows[start : start + _BLOCK]
-            x_dist = cdist(x[block], x, "chebyshev")
-            joint = y[block, None] - y
-            np.maximum(np.abs(joint, out=joint), x_dist, out=joint)
-            joint.partition(self.k, axis=1)
-            radii[block] = joint[:, self.k]
-            strict = np.nextafter(radii[block], 0.0)
-            counts[block] = np.count_nonzero(x_dist <= strict[:, None], axis=1)
-        return counts, self._target_counts(i, radii)
 
 
 def _corrupt_nodes(mode: Mode, n: int, subset: Sequence[int] | None = None) -> Sequence[int]:
@@ -677,9 +508,13 @@ def verify_proposition1(report: LeakageReport, tol: float) -> Proposition1Verdic
     and need only exceed 0: at high density the true gap is far below
     any tol that covers estimator noise. The middle relation is strict
     for any connected graph on more than two nodes and is skipped at
-    n = 2. All three also get a direction check on the estimated gap
-    with a tol cushion for estimator noise. Returns a verdict object;
-    raises ValueError only for a cell that lacks one of the four modes.
+    n = 2. A relation whose two closed forms are both +inf (at n = 2,
+    where each secure-aggregation view shows the other node) is skipped
+    too: no finite-sample estimate can order two infinite quantities.
+    Every relation checked also gets a direction check on the estimated
+    gap with a tol cushion for estimator noise. Returns a verdict
+    object; raises ValueError only for a cell that lacks one of the four
+    modes.
     """
     cells = []
     for n, density in report.cells():
@@ -704,7 +539,8 @@ def verify_proposition1(report: LeakageReport, tol: float) -> Proposition1Verdic
         ):
             gap = rows[lhs].leakage_nats - rows[rhs].leakage_nats
             exact = rows[lhs].analytic_nats - rows[rhs].analytic_nats
-            checked = outer or n > 2
+            infinite = rows[lhs].analytic_nats == rows[rhs].analytic_nats == math.inf
+            checked = (outer or n > 2) and not infinite
             direction_ok = gap >= -tol
             if outer and not math.isnan(exact):
                 margin_ok = abs(exact) <= tol if complete else exact > 0

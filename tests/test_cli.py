@@ -413,6 +413,18 @@ class TestVerify:
         assert main(["verify", str(summary)]) == EXIT_OK
         assert "CHAIN HOLDS" in capsys.readouterr().out
 
+    def test_two_node_sweep_passes(self, tmp_path, capsys):
+        # At n = 2 both secure-aggregation views show the other node: both
+        # closed forms are +inf, and the estimated gap between two finite
+        # values of infinite quantities (about -0.7) orders nothing.
+        assert simulate(tmp_path, "--n", "2", "--densities", "1.0") == EXIT_OK
+        capsys.readouterr()
+        assert main(["verify", str(tmp_path / "out" / "leakage_summary.csv")]) == EXIT_OK
+        out = capsys.readouterr().out
+        (line,) = [line for line in out.splitlines() if "dfl_sa_vs_cfl_sa" in line]
+        assert line.endswith("SKIPPED")
+        assert "CHAIN HOLDS" in out
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_bad_tol_is_a_usage_error(self, summary, capsys, tol):
         assert main(["verify", str(summary), "--tol", tol]) == EXIT_USAGE

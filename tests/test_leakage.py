@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from fedleak import leakage
+from fedleak import infotheory, leakage
 from fedleak.infotheory import SampleMatrix, knn_cmi, knn_mi
 from fedleak.leakage import (
     CellSummary,
@@ -173,13 +173,13 @@ class TestEstimateModeLeakage:
     def test_pairs_equal_knn_mi_on_rebuilt_observation(self, monkeypatch, block, candidates):
         if block is not None:
             # 7 divides no sample count below: the last block is short
-            monkeypatch.setattr(leakage, "_BLOCK", block)
+            monkeypatch.setattr(infotheory, "_BLOCK", block)
         if candidates is not None:
             # 4 leaves the 4k = 12 floor at k = 3: about half the points
             # of the Gaussian and the 0.1-rounded draws find their k-th
             # joint neighbor among them; at least N - 1: nearly every
             # point does
-            monkeypatch.setattr(leakage, "_NEIGHBOR_CANDIDATES", candidates)
+            monkeypatch.setattr(infotheory, "_NEIGHBOR_CANDIDATES", candidates)
 
         def rounded(samples):
             # rounded to 0.1: tied distances and zero radii in every marginal
@@ -252,7 +252,7 @@ class TestEstimateModeLeakage:
         def no_cdist(*args, **kwargs):
             raise AssertionError("cdist called")
 
-        monkeypatch.setattr(leakage, "cdist", no_cdist)
+        monkeypatch.setattr(infotheory, "cdist", no_cdist)
         samples = draw_gradient_samples(6, 300, seed=2)
         est = leakage._CellEstimator(samples.data, 3)
         assert est.mi(samples.data[:, [0, 3]], []) == []
@@ -308,6 +308,18 @@ class TestEstimateModeLeakage:
         for column in columns:
             est = leakage._CellEstimator(column[:, None], k)
             assert est.self_mi(0) == knn_mi(column, column, k=k).value, len(column)
+
+    @pytest.mark.parametrize(
+        "column", [np.ones(50), np.repeat(np.arange(10.0), 5)], ids=["constant", "ties-of-5"]
+    )
+    def test_self_term_rejects_what_knn_mi_rejects(self, column):
+        # every point has at least k = 3 exact duplicates, so every radius
+        # of I(G_i; G_i) is 0; the self term gave a finite value here
+        message = "^degenerate data: all joint samples are identical$"
+        with pytest.raises(ValueError, match=message):
+            knn_mi(column, column)
+        with pytest.raises(ValueError, match=message):
+            leakage._CellEstimator(np.column_stack([np.arange(50.0), column]), 3)
 
     def test_dfl_corrupt_node_without_neighbors_rejected(self):
         samples = draw_gradient_samples(4, 200, seed=0)
