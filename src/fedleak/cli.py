@@ -392,6 +392,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
             cells.append((mode, density, key))
     ssims = [[] for _ in cells]
     details = [[] for _ in cells]
+    images = {}  # seed-0 reconstructions, written by one write_pgm call
     for offset in range(n_seeds):
         # one batched inversion per seed for every distinct view
         results = attack_experiment(
@@ -416,7 +417,8 @@ def cmd_attack(args: argparse.Namespace) -> int:
                         f"recon/{mode.value}_d{_density_token(density)}"
                         f"_node{target.node:02d}.pgm"
                     )
-                    write_pgm(out_dir / name, target.image.pixels)
+                    images[out_dir / name] = target.image.pixels
+    write_pgm(images)
     detail_rows = [row for rows in details for row in rows]
     summary = {}
     for (mode, density, _), values in zip(cells, ssims):

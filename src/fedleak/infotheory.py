@@ -303,10 +303,11 @@ class _CellEstimator:
 
     The constructor checks k against the sample count as knn_mi does,
     sorts every column (_SortedColumn) and computes every column's self
-    term, raising knn_mi's ValueError for a column it would reject.
-    mi(observed, targets) gives, for each target i, exactly
+    term. mi(observed, targets) gives, for each target i, exactly
     knn_mi(observed, G_i) (same radii, same strict counts), and
-    self_mi(i) exactly knn_mi(G_i, G_i). A multi-column observation
+    self_mi(i) exactly knn_mi(G_i, G_i), raising knn_mi's ValueError for
+    a column it would reject: only a mode whose view shows target i
+    needs column i's self term. A multi-column observation
     takes each target's radii and counts from each point's nearest
     observation neighbors (_observe_matrix), found once per call, and
     recounts the points they do not settle on their rows of its
@@ -329,16 +330,19 @@ class _CellEstimator:
 
     def self_mi(self, i: int) -> float:
         """I(G_i; G_i): the term of a target the observation shows."""
-        return self._self_mi[i]
+        term = self._self_mi[i]
+        if term is None:
+            raise ValueError("degenerate data: all joint samples are identical")
+        return term
 
-    def _self_term(self, i: int) -> float:
+    def _self_term(self, i: int) -> float | None:
         """knn_mi(G_i, G_i), ties included. In one dimension a point's
         nearest neighbors on each side come in order, so its k+1 nearest
         distances (itself included) lie in a +-k window of the sorted
         column: the largest of them, its k-th neighbor's, is its radius
         in the joint space, whose max-norm distances are the column's
-        own. Both marginals are the column, so both count the same points;
-        knn_mi rejects a column whose radii are all 0, and so does this."""
+        own. Both marginals are the column, so both count the same points.
+        None where knn_mi rejects the column: all its radii are 0."""
         k = self.k
         column = self._sorted_columns[i]
         pad = np.full(k, np.inf)
@@ -348,7 +352,7 @@ class _CellEstimator:
         radii = np.empty(len(dist))
         radii[column.order] = dist[:, k]
         if np.all(radii == 0.0):
-            raise ValueError("degenerate data: all joint samples are identical")
+            return None
         counts = column.counts(radii)
         return _ksg(self._psi, counts, counts)
 

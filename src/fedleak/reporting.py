@@ -3,16 +3,21 @@
 All writers are deterministic (no timestamps inside data files, floats
 rendered with shortest round-trip repr, LF line endings, '.' decimal
 point) so repeated runs with the same inputs produce byte-identical
-files. Writes go through a temp-file-then-rename step to stay atomic.
+files. Writes go through a temp-file-then-rename step to stay atomic;
+write_pgm makes each image file that repeats an earlier one of its call
+a hard link of that file, through a link-then-rename step, and writes
+it alone if the link fails. Rewriting any path through
+atomic_write_text gives it its own file again.
 """
 
 from __future__ import annotations
 
 import os
+import secrets
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -88,16 +93,53 @@ def read_csv(path: str | Path) -> tuple[list[str], list[dict[str, str]], list[in
     return header, rows, numbers
 
 
-def write_pgm(path: str | Path, pixels: np.ndarray) -> None:
-    """Plain-text portable graymap (P2), maxval 255, from pixels in [0, 1]."""
+def write_pgm(images: Mapping[str | Path, np.ndarray]) -> None:
+    """Plain-text portable graymaps (P2), maxval 255, one per path, from
+    pixels in [0, 1], rounded half to even and clipped.
+
+    Every image is checked and formatted before any file is written, so
+    a non-finite pixel writes nothing. The first path of each distinct
+    text is written through atomic_write_text; every later path with the
+    same text becomes a hard link of that file (_link_file), so a call
+    allocates one file per distinct image. A path whose link fails (no
+    hard links on its file system, too many links, a name clash) is
+    written alone."""
+    texts = {Path(path): _pgm_text(path, pixels) for path, pixels in images.items()}
+    first: dict[str, Path] = {}
+    for path, text in texts.items():
+        source = first.setdefault(text, path)
+        if source is path or not _link_file(source, path):
+            atomic_write_text(path, text)
+
+
+def _pgm_text(path: str | Path, pixels: np.ndarray) -> str:
     maxval = 255
     px = np.asarray(pixels, dtype=float)
     if px.ndim != 2:
-        raise ValueError(f"pixels must be 2-d, got shape {px.shape}")
+        raise ValueError(f"{path}: pixels must be 2-d, got shape {px.shape}")
+    if not np.isfinite(px).all():
+        raise ValueError(f"{path}: pixels must be finite")
     levels = np.clip(np.rint(px * maxval), 0, maxval).astype(int)
     lines = ["P2", f"{px.shape[1]} {px.shape[0]}", str(maxval)]
-    lines.extend(" ".join(str(v) for v in row) for row in levels)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    lines.extend(" ".join(map(str, row)) for row in levels.tolist())
+    return "\n".join(lines) + "\n"
+
+
+def _link_file(source: Path, path: Path) -> bool:
+    """Replace path by a hard link of source, atomically: link to a new
+    temporary name beside path, then rename. False, with nothing
+    changed, if the link fails."""
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    try:
+        os.link(source, tmp)
+    except OSError:
+        return False
+    try:
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    return True
 
 
 @dataclass(frozen=True)

@@ -353,6 +353,23 @@ class TestAttackOutputs:
                     out / "recon" / name.format("0p8")
                 ).read_bytes()
 
+    def test_equal_reconstructions_share_one_file(self, tmp_path):
+        # the benchmark's attack arguments at seed 0; a rerun into the same
+        # directory replaces every file by an equal one
+        out = tmp_path / "out"
+        argv = ["attack", "--seed", "0", "--n", "6", "--densities", "0.4,0.8,1.0",
+                "--modes", "cfl,cfl_sa,dfl,dfl_sa", "--iters", "1000", "--corrupt", "0",
+                "--seeds", "1", "--out-dir", str(out)]
+        assert main(argv) == EXIT_OK
+        files = output_files(out)
+        first = {name: (out / name).read_bytes() for name in files}
+        recon = [out / name for name in files if name.parts[0] == "recon"]
+        assert len(recon) == 60
+        inodes = {path.stat().st_ino for path in recon}
+        assert len(inodes) == len({path.read_bytes() for path in recon}) < len(recon)
+        assert main(argv) == EXIT_OK
+        assert output_files(out) == files
+        assert {name: (out / name).read_bytes() for name in files} == first
 
     def test_densities_default_when_left_out(self, tmp_path):
         out = tmp_path / "out"

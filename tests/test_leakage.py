@@ -318,8 +318,39 @@ class TestEstimateModeLeakage:
         message = "^degenerate data: all joint samples are identical$"
         with pytest.raises(ValueError, match=message):
             knn_mi(column, column)
+        est = leakage._CellEstimator(np.column_stack([np.arange(50.0), column]), 3)
         with pytest.raises(ValueError, match=message):
-            leakage._CellEstimator(np.column_stack([np.arange(50.0), column]), 3)
+            est.self_mi(1)
+
+    def test_only_views_showing_a_constant_column_reject_it(self):
+        # no SA view shows node 2, so each pair is knn_mi on a view that
+        # accepts the constant column; building the estimator rejected it
+        n = 5
+        data = draw_gradient_samples(n, 300, seed=0).data
+        data[:, 2] = 1.0
+        samples = SampleMatrix(data)
+        path = Graph(n=n, edges=tuple((j, j + 1) for j in range(n - 1)))
+        weights = metropolis_weights(path)
+        for mode in (Mode.CFL_SA, Mode.DFL_SA):
+            result = estimate_mode_leakage(mode, samples, graph=path, weights=weights)
+            assert len(result.pairs) == n * (n - 1)
+            for k, i, value in result.pairs:
+                if mode is Mode.CFL_SA:
+                    observed = data.sum(axis=1) - data[:, k]
+                else:
+                    row = weights.row(k)
+                    observed = data @ row - row[k] * data[:, k]
+                assert value == knn_mi(observed, data[:, i]).value, (mode, k, i)
+        # node 4 sees node 3 alone; nodes 1 and 3 see node 2
+        result = estimate_mode_leakage(Mode.DFL, samples, graph=path, corrupt_nodes=[4])
+        assert [value for _, i, value in result.pairs if i == 2] == [
+            knn_mi(data[:, 3], data[:, 2]).value
+        ]
+        message = "^degenerate data: all joint samples are identical$"
+        with pytest.raises(ValueError, match=message):
+            estimate_mode_leakage(Mode.CFL, samples)
+        with pytest.raises(ValueError, match=message):
+            estimate_mode_leakage(Mode.DFL, samples, graph=path, corrupt_nodes=[1])
 
     def test_dfl_corrupt_node_without_neighbors_rejected(self):
         samples = draw_gradient_samples(4, 200, seed=0)
