@@ -2,9 +2,11 @@
 
 Subcommands: simulate (leakage sweep), attack (gradient inversion),
 verify (ordering-chain check on a summary CSV), analytic (closed forms
-only). Option precedence is flag > key=value config file > built-in
-default; every run writes a manifest that can be passed back via
---config to reproduce outputs byte for byte.
+only). Each option is declared once, in `_OPTIONS`, with its flag,
+help, default per subcommand, parser and manifest format. Option
+precedence is flag > key=value config file > built-in default; every
+run writes a manifest that can be passed back via --config of the same
+subcommand to reproduce outputs byte for byte.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error,
 3 runtime error.
@@ -59,47 +61,95 @@ class UsageError(Exception):
     pass
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+class _Option:
+    """One option, with its default in each subcommand that takes it.
 
+    Its value comes from --key ('-' for '_'), else from the config
+    file's key, else from the default. With an item name it is a
+    comma-separated list, empty only where the default is. A manifest
+    records each value that is not None as key=show(value), per item.
+    """
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+    def __init__(self, key, help, parse=int, show=str, item="", **defaults):
+        self.key, self.flag = key, "--" + key.replace("_", "-")
+        self.help, self.parse, self.show, self.item = help, parse, show, item
+        self.defaults = defaults  # subcommand -> default value
 
-
-def _parse_modes(text: str) -> tuple[Mode, ...]:
-    return tuple(Mode.parse(tok) for tok in text.split(",") if tok.strip())
-
-
-class _Options:
-    """Layered option lookup: CLI flag, then config file, then default."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = vars(args)
-        config_path = self.args.get("config")
-        try:
-            self.config = read_keyvalue(config_path) if config_path else {}
-        except (OSError, ValueError) as exc:  # unreadable, or not key=value lines
-            raise UsageError(f"--config: {exc}") from exc
-
-    def get(self, key: str, default, cast):
-        flag = self.args.get(key)
+    def resolve(self, args: argparse.Namespace, config: dict[str, str]):
+        default, flag = self.defaults[args.command], getattr(args, self.key)
         if flag is not None:
-            source, text = "--" + key.replace("_", "-"), flag
-        elif key in self.config:
-            source, text = f"config key {key}", self.config[key]
+            source, text = self.flag, flag
+        elif self.key in config:
+            source, text = f"config key {self.key}", config[self.key]
         else:
             return default
         try:
-            return cast(text)
+            if not self.item:
+                return self.parse(text)
+            value = tuple(self.parse(tok) for tok in text.split(",") if tok.strip())
         except ValueError as exc:
             raise UsageError(f"{source}: invalid value {text!r} ({exc})") from exc
+        if not value and default != ():
+            raise UsageError(f"{self.flag}: no {self.item} given")
+        return value
+
+    def format(self, value) -> str:
+        return ",".join(map(self.show, value)) if self.item else self.show(value)
 
 
-def _seed(opts: _Options) -> int:
-    """The root seed, from the flag or the config; SeedSequence takes no
-    negative one."""
-    seed = opts.get("seed", 0, int)
+_NODE_COUNTS = (10, 20, 30, 40, 50)
+_NODES_HELP = "comma-separated node counts (or one count)"
+_OPTIONS = (  # attack's n and densities default to None: a graph file gives them
+    _Option("seed", "root RNG seed", simulate=0, attack=0, analytic=0),
+    _Option("out_dir", "output directory", str, lambda text: str(Path(text)),
+            simulate="out/simulate", attack="out/attack", analytic=None),
+    _Option("n", _NODES_HELP, item="node count",
+            simulate=_NODE_COUNTS, analytic=_NODE_COUNTS),
+    _Option("n", _NODES_HELP, attack=None),  # one count
+    _Option("densities", "comma-separated target densities", float, repr, item="density",
+            simulate=(0.3, 0.6, 0.9), attack=None, analytic=()),
+    _Option("modes", "comma-separated subset of cfl,cfl_sa,dfl,dfl_sa", Mode.parse,
+            lambda mode: mode.value, item="mode", simulate=ALL_MODES, attack=ALL_MODES),
+    _Option("samples", "Monte-Carlo draws per variable", simulate=1000),
+    _Option("knn_k", "kNN estimator neighbor count", simulate=3),
+    _Option("seeds", "number of seeds to average over", attack=1),
+    _Option("iters", "attack iterations", attack=1000),
+    _Option("lr", "attack learning rate", float, repr, attack=0.1),
+    _Option("corrupt", "corrupt node index", attack=0),
+    _Option("graph_file", "edge-list topology file", str, attack=None),
+    _Option("tol", "gap tolerance in nats", float, verify=0.05),
+)
+
+
+def _declared(command: str) -> list[_Option]:
+    return [option for option in _OPTIONS if command in option.defaults]
+
+
+def _options(args: argparse.Namespace) -> dict:
+    """Each option of args.command by key: flag > --config > default."""
+    try:
+        config = read_keyvalue(args.config) if args.config else {}
+    except (OSError, ValueError) as exc:  # unreadable, or not key=value lines
+        raise UsageError(f"--config: {exc}") from exc
+    if config.get("command", args.command) != args.command:
+        raise UsageError(f"--config: {args.config} is a manifest of fedleak "
+                         f"{config['command']}, not {args.command}")
+    return {option.key: option.resolve(args, config) for option in _declared(args.command)}
+
+
+def _manifest(command: str, values: dict) -> dict[str, str]:
+    """A run's manifest, before its output_* keys: --config replays it."""
+    now = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    manifest = {"command": command, "created_utc": now, "version": __version__}
+    for option in _declared(command):
+        if values[option.key] is not None:
+            manifest[option.key] = option.format(values[option.key])
+    return manifest
+
+
+def _seed(opts: dict) -> int:
+    """The root seed; SeedSequence takes no negative one."""
+    seed = opts["seed"]
     if seed < 0:
         raise UsageError(f"--seed must be >= 0, got {seed}")
     return seed
@@ -142,38 +192,13 @@ def _check_repeats(option: str, values) -> None:
         seen.add(value)
 
 
-def _mode_values(modes) -> str:
-    return ",".join(m.value for m in modes)
-
-
-def _manifest_base(command: str, out_dir: Path) -> dict[str, str]:
-    return {
-        "command": command,
-        "out_dir": str(out_dir),
-        "created_utc": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
-        "version": __version__,
-    }
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
-    opts = _Options(args)
+    opts = _options(args)
     seed = _seed(opts)
-    samples = opts.get("samples", 1000, int)
-    k_nn = opts.get("knn_k", 3, int)
-    n_values = opts.get("n", (10, 20, 30, 40, 50), _parse_int_list)
-    densities = opts.get("densities", (0.3, 0.6, 0.9), _parse_float_list)
-    modes = opts.get("modes", ALL_MODES, _parse_modes)
-    out_dir = Path(opts.get("out_dir", "out/simulate", str))
-
-    manifest = _manifest_base("simulate", out_dir)
-    manifest.update(
-        seed=str(seed),
-        samples=str(samples),
-        knn_k=str(k_nn),
-        n=",".join(str(v) for v in n_values),
-        densities=",".join(repr(float(d)) for d in densities),
-        modes=_mode_values(modes),
-    )
+    samples, k_nn = opts["samples"], opts["knn_k"]
+    n_values, densities, modes = opts["n"], opts["densities"], opts["modes"]
+    out_dir = Path(opts["out_dir"])
+    manifest = _manifest("simulate", opts)
 
     if any(m.decentralized for m in modes):
         # n < 2 is left to ExperimentConfig, which names it
@@ -306,17 +331,12 @@ def _summary_series(summary_rows, value_idx: int) -> list[Series]:
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
-    opts = _Options(args)
+    opts = _options(args)
     seed = _seed(opts)
-    n = opts.get("n", None, int)
-    modes = opts.get("modes", ALL_MODES, _parse_modes)
-    densities = opts.get("densities", None, _parse_float_list)
-    n_seeds = opts.get("seeds", 1, int)
-    iters = opts.get("iters", 1000, int)
-    lr = opts.get("lr", 0.1, float)
-    corrupt = opts.get("corrupt", 0, int)
-    graph_file = opts.get("graph_file", None, str)
-    out_dir = Path(opts.get("out_dir", "out/attack", str))
+    n, modes, densities = opts["n"], opts["modes"], opts["densities"]
+    n_seeds, iters, lr = opts["seeds"], opts["iters"], opts["lr"]
+    corrupt, graph_file = opts["corrupt"], opts["graph_file"]
+    out_dir = Path(opts["out_dir"])
 
     needs_topology = any(m.decentralized for m in modes)
     fixed_graph = None
@@ -344,8 +364,6 @@ def cmd_attack(args: argparse.Namespace) -> int:
         n = 10
     if densities is None:
         densities = (0.4, 0.8, 1.0)
-    if not densities:
-        raise UsageError("--densities: no density given")
     if n_seeds < 1:
         raise UsageError(f"--seeds must be >= 1, got {n_seeds}")
     if n < 3:
@@ -361,19 +379,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
         _check_densities((n,), densities)
     _check_density_tokens(densities)
 
-    manifest = _manifest_base("attack", out_dir)
-    manifest.update(
-        seed=str(seed),
-        n=str(n),
-        modes=_mode_values(modes),
-        densities=",".join(repr(float(d)) for d in densities),
-        seeds=str(n_seeds),
-        iters=str(iters),
-        lr=repr(float(lr)),
-        corrupt=str(corrupt),
-    )
-    if graph_file:
-        manifest["graph_file"] = str(graph_file)
+    manifest = _manifest("attack", {**opts, "n": n, "densities": densities})
 
     # A centralized view does not depend on the graph: one view per
     # centralized mode serves every density.
@@ -490,8 +496,7 @@ def _report_from_summary_csv(path: str) -> LeakageReport:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    opts = _Options(args)
-    tol = opts.get("tol", 0.05, float)
+    tol = _options(args)["tol"]
     if not (math.isfinite(tol) and tol >= 0.0):
         raise UsageError(f"--tol must be finite and >= 0, got {tol!r}")
     try:  # an unreadable or malformed report, or a cell without all four modes
@@ -527,11 +532,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_analytic(args: argparse.Namespace) -> int:
-    opts = _Options(args)
+    opts = _options(args)
     seed = _seed(opts)
-    n_values = opts.get("n", (10, 20, 30, 40, 50), _parse_int_list)
-    densities = opts.get("densities", (), _parse_float_list)
-    out_dir = opts.get("out_dir", None, str)
+    n_values, densities, out_dir = opts["n"], opts["densities"], opts["out_dir"]
     small = [v for v in n_values if v < 2]
     if small:
         raise UsageError(f"--n: closed forms need n >= 2, got {small[0]}")
@@ -554,13 +557,8 @@ def cmd_analytic(args: argparse.Namespace) -> int:
     if out_dir:
         path = Path(out_dir) / "analytic.csv"
         write_csv(path, ["mode", "n", "density", "analytic_nats"], rows)
-        manifest = _manifest_base("analytic", Path(out_dir))
-        manifest.update(
-            seed=str(seed),
-            n=",".join(str(v) for v in n_values),
-            densities=",".join(repr(float(d)) for d in densities),
-            output_csv=path.name,
-        )
+        manifest = _manifest("analytic", opts)
+        manifest["output_csv"] = path.name
         write_manifest(Path(out_dir) / "manifest.txt", manifest)
     return EXIT_OK
 
@@ -572,43 +570,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--config", help="key=value config file (a manifest works)")
-        p.add_argument("--seed", help="root RNG seed")
-        p.add_argument("--out-dir", dest="out_dir", help="output directory")
-        p.add_argument("--n", help="comma-separated node counts (or one count)")
-        p.add_argument("--densities", help="comma-separated target densities")
-
-    def add_modes(p):
-        p.add_argument("--modes", help="comma-separated subset of cfl,cfl_sa,dfl,dfl_sa")
-
-    sim = sub.add_parser("simulate", help="run the leakage sweep")
-    add_common(sim)
-    add_modes(sim)
-    sim.add_argument("--samples", help="Monte-Carlo draws per variable")
-    sim.add_argument("--knn-k", dest="knn_k", help="kNN estimator neighbor count")
-    sim.set_defaults(func=cmd_simulate)
-
-    atk = sub.add_parser("attack", help="run the gradient-inversion attack grid")
-    add_common(atk)
-    add_modes(atk)
-    atk.add_argument("--seeds", help="number of seeds to average over")
-    atk.add_argument("--iters", help="attack iterations")
-    atk.add_argument("--lr", help="attack learning rate")
-    atk.add_argument("--corrupt", help="corrupt node index")
-    atk.add_argument("--graph-file", dest="graph_file", help="edge-list topology file")
-    atk.set_defaults(func=cmd_attack)
-
-    ver = sub.add_parser("verify", help="check the leakage ordering chain")
-    ver.add_argument("report", help="path to a leakage summary CSV")
-    ver.add_argument("--config", help="key=value config file")
-    ver.add_argument("--tol", help="gap tolerance in nats")
-    ver.set_defaults(func=cmd_verify)
-
-    ana = sub.add_parser("analytic", help="print closed-form leakage values")
-    add_common(ana)
-    ana.set_defaults(func=cmd_analytic)
+    for command, func, help in (
+        ("simulate", cmd_simulate, "run the leakage sweep"),
+        ("attack", cmd_attack, "run the gradient-inversion attack grid"),
+        ("verify", cmd_verify, "check the leakage ordering chain"),
+        ("analytic", cmd_analytic, "print closed-form leakage values"),
+    ):
+        p = sub.add_parser(command, help=help)
+        p.set_defaults(func=func)
+        note = "" if command == "verify" else " (a manifest works)"
+        p.add_argument("--config", help="key=value config file" + note)
+        for option in _declared(command):
+            p.add_argument(option.flag, dest=option.key, help=option.help)
+    sub.choices["verify"].add_argument("report", help="path to a leakage summary CSV")
     return parser
 
 

@@ -10,15 +10,34 @@ import pytest
 
 import fedleak
 from fedleak import attack, leakage
-from fedleak.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VERIFY_FAILED, main
-from fedleak.reporting import read_csv, write_csv
+from fedleak.cli import (
+    _OPTIONS, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VERIFY_FAILED, main,
+)
+from fedleak.reporting import read_csv, read_keyvalue, write_csv
 from fedleak.topology import generate_graph, read_edge_list, write_edge_list
 
 SMALL_SWEEP = ["--n", "4", "--densities", "1.0", "--samples", "100"]
 
+# (subcommand, option) for every declared option whose value is parsed
+PARSED_OPTIONS = [
+    (command, option)
+    for option in _OPTIONS
+    if option.parse is not str
+    for command in option.defaults
+]
+
 
 def simulate(tmp_path, *args):
     return main(["simulate", "--out-dir", str(tmp_path / "out"), *args])
+
+
+@pytest.fixture
+def graph_file(tmp_path):
+    """A 6-node graph file of density 0.6."""
+    path = tmp_path / "graph.txt"
+    write_edge_list(generate_graph(6, 0.6, 0), path)
+    assert read_edge_list(path).density == 0.6
+    return path
 
 
 def output_files(out_dir):
@@ -103,6 +122,11 @@ class TestUsageErrors:
             (["simulate", *SMALL_SWEEP, "--seed", "-1"], "--seed must be >= 0, got -1"),
             (["attack", "--iters", "5", "--seed", "-3"], "--seed must be >= 0, got -3"),
             (["analytic", "--n", "4", "--seed", "-1"], "--seed must be >= 0, got -1"),
+            (["analytic", "--n", ""], "--n: no node count given"),
+            (["attack", "--modes", "", "--iters", "5"], "--modes: no mode given"),
+            (["simulate", "--n", "", "--densities", "1.0"], "--n: no node count given"),
+            (["simulate", *SMALL_SWEEP, "--modes", ""], "--modes: no mode given"),
+            (["simulate", "--n", "4", "--densities", ""], "--densities: no density given"),
         ],
         ids=[
             "analytic-density",
@@ -127,6 +151,11 @@ class TestUsageErrors:
             "simulate-seed",
             "attack-seed",
             "analytic-seed",
+            "analytic-no-n",
+            "attack-no-mode",
+            "simulate-no-n",
+            "simulate-no-mode",
+            "simulate-no-density",
         ],
     )
     def test_bad_option_exits_before_any_work(self, tmp_path, capsys, argv, message):
@@ -152,14 +181,6 @@ class TestUsageErrors:
         assert captured.err == "usage error: --seed must be >= 0, got -2\n"
         assert captured.out == ""
         assert not out.exists()
-
-    @pytest.fixture
-    def graph_file(self, tmp_path):
-        """A 6-node graph file of density 0.6."""
-        path = tmp_path / "graph.txt"
-        write_edge_list(generate_graph(6, 0.6, 0), path)
-        assert read_edge_list(path).density == 0.6
-        return path
 
     @pytest.mark.parametrize(
         "argv, config, message",
@@ -225,6 +246,57 @@ class TestUsageErrors:
         assert output_files(second) == files
         for name in files:
             assert (second / name).read_bytes() == (first / name).read_bytes(), name
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "command, option", PARSED_OPTIONS, ids=[f"{c}-{o.key}" for c, o in PARSED_OPTIONS]
+    )
+    def test_unparsable_value_exits_before_any_output(
+        self, tmp_path, capsys, command, option, source
+    ):
+        out = tmp_path / "out"
+        if command == "verify":  # writes no files, and reads its report last
+            argv = ["verify", str(tmp_path / "report.csv")]
+        else:
+            argv = [command, "--out-dir", str(out)]
+        if source == "flag":
+            argv += [option.flag, "abc"]
+            message = f"usage error: {option.flag}: invalid value 'abc' ("
+        else:
+            (tmp_path / "config.txt").write_text(f"{option.key}=abc\n")
+            argv += ["--config", str(tmp_path / "config.txt")]
+            message = f"usage error: config key {option.key}: invalid value 'abc' ("
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith(message)
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "made_by, argv",
+        [
+            ("attack", ["simulate", *SMALL_SWEEP]),
+            ("analytic", ["simulate", *SMALL_SWEEP]),
+            ("simulate", ["attack", "--iters", "5"]),
+            ("simulate", ["analytic", "--n", "4"]),
+        ],
+        ids=["attack-to-simulate", "analytic-to-simulate", "simulate-to-attack",
+             "simulate-to-analytic"],
+    )
+    def test_manifest_of_another_subcommand_exits_before_any_output(
+        self, tmp_path, capsys, made_by, argv
+    ):
+        config = tmp_path / "manifest.txt"
+        config.write_text(f"command={made_by}\nseed=1\nn=4\ndensities=1.0\nmodes=cfl\n")
+        out = tmp_path / "out"
+        assert main([*argv, "--config", str(config), "--out-dir", str(out)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"usage error: --config: {config} is a manifest of fedleak {made_by}, "
+            f"not {argv[0]}\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_analytic_only_flag_removed(self, tmp_path, capsys):
         # `fedleak analytic` writes the closed forms
@@ -400,8 +472,12 @@ class TestManifestRoundTrip:
                  "--modes", "cfl,dfl"],
                 ["leakage_summary.csv", "graphs/graph_n5_d0p444444.txt"],
             ),
+            (
+                ["analytic", "--seed", "3", "--n", "4,6", "--densities", "0.7,1.0"],
+                ["analytic.csv"],
+            ),
         ],
-        ids=["simulate", "attack", "simulate-long-density"],
+        ids=["simulate", "attack", "simulate-long-density", "analytic"],
     )
     def test_manifest_reproduces_outputs(self, tmp_path, argv, expected):
         first, second = tmp_path / "first", tmp_path / "second"
@@ -413,6 +489,23 @@ class TestManifestRoundTrip:
         assert output_files(second) == files
         for name in files:
             assert (second / name).read_bytes() == (first / name).read_bytes(), name
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["simulate", *SMALL_SWEEP], ["attack", "--iters", "5", "--graph-file"],
+         ["analytic", "--n", "4"]],
+        ids=["simulate", "attack", "analytic"],
+    )
+    def test_manifest_records_every_declared_option(self, tmp_path, graph_file, argv):
+        if argv[-1] == "--graph-file":  # without it graph_file is None, left out
+            argv = [*argv, str(graph_file)]
+        out = tmp_path / "out"
+        assert main([*argv, "--out-dir", str(out)]) == EXIT_OK
+        keys = set(read_keyvalue(out / "manifest.txt"))
+        declared = {option.key for option in _OPTIONS if argv[0] in option.defaults}
+        outputs = {key for key in keys if key.startswith("output_")}
+        assert outputs
+        assert keys == declared | {"command", "out_dir", "created_utc", "version"} | outputs
 
 
 class TestVerify:
