@@ -46,6 +46,9 @@ checks. On the benchmark's attack batch about 100 of 1000 steps run.
 
 Reconstruction quality is scored with a single-window SSIM over the
 whole image; the images are smaller than the standard sliding window.
+`attack_experiment` scores every target of its batch in one `ssim` call
+on two (targets x H x W) stacks, the reconstructions and their nodes'
+images; each value equals that pair's one-image SSIM bit for bit.
 """
 
 from __future__ import annotations
@@ -206,8 +209,9 @@ def invert_gradient(
     not a square, or a label outside [0, classes), raises ValueError
     before any descent.
 
-    Each row starts from a random dummy image drawn from its own seed and
-    runs sign-of-gradient descent on the cosine dissimilarity between
+    Each row starts from a random dummy image drawn from its own seed
+    (anything np.random.default_rng takes; rows given the same seed
+    object share one draw) and runs sign-of-gradient descent on the cosine dissimilarity between
     the dummy's gradient and its observed one, clamping to [0, 1] each
     step. The dummy's gradient g = [a x^T, a], a = softmax(W x + b) - e_y,
     is never formed. With the unit observation split once into O
@@ -271,7 +275,11 @@ def invert_gradient(
         row = out_of_range[0]
         raise ValueError(f"label {labels[row]} of row {row} out of range for {classes} classes")
     obs_norm = np.linalg.norm(obs, axis=1)
-    x = np.stack([np.random.default_rng(s).uniform(0.0, 1.0, model.n_pixels) for s in seeds])
+    drawn = {}  # one dummy per distinct seed object, shared by its rows
+    for s in seeds:
+        if id(s) not in drawn:
+            drawn[id(s)] = np.random.default_rng(s).uniform(0.0, 1.0, model.n_pixels)
+    x = np.stack([drawn[id(s)] for s in seeds])
 
     # Only the running rows descend, compacted into their own arrays: a
     # zero observation keeps its dummy from the start, and a saturated
@@ -336,7 +344,11 @@ def invert_gradient(
             + (a[:, None, :] @ o_w)[:, 0]
             - (dot / x_sq1)[:, None] * x_run
         )
-        x_run = np.clip(x_run + step * np.sign(h), 0.0, 1.0)
+        # a new array each step, since back holds the earlier ones; the
+        # in-place clamp gives the bits of np.clip at less call overhead
+        x_run = x_run + step * np.sign(h)
+        np.maximum(x_run, 0.0, out=x_run)
+        np.minimum(x_run, 1.0, out=x_run)
         it += 1
         if len(back) == 4 and np.array_equal(x_run, back[0]):
             x_run, it = back[(ends[phase] - it) % 4], ends[phase]
@@ -349,7 +361,7 @@ def invert_gradient(
     return images[0] if single else images
 
 
-def ssim(a, b) -> float:
+def ssim(a, b) -> float | np.ndarray:
     """Structural similarity over the whole image (single window).
 
     ((2 mu_a mu_b + C1)(2 cov + C2)) /
@@ -357,22 +369,33 @@ def ssim(a, b) -> float:
     with C1 = (0.01 L)^2, C2 = (0.03 L)^2 for dynamic range L = 1 and
     unbiased (co)variances. Symmetric; equals 1 only for identical
     images; lies in [-1, 1].
+
+    a and b are two images, as ToyImages or 2-d arrays, which give a
+    float; or two (k, H, W) stacks, scored pair by pair, which give an
+    array of k values. Every reduction runs over one image's H x W
+    pixels, so each value of a stack equals its pair's own value bit
+    for bit. mu^2 is np.float_power, the C pow of a scalar's ``**``: an
+    array's ``**`` squares instead, which differs in the last bit.
     """
     pa = a.pixels if isinstance(a, ToyImage) else np.asarray(a, dtype=float)
     pb = b.pixels if isinstance(b, ToyImage) else np.asarray(b, dtype=float)
     if pa.shape != pb.shape:
         raise ValueError(f"image shapes differ: {pa.shape} vs {pb.shape}")
+    if pa.ndim not in (2, 3):
+        raise ValueError(f"need images or (k, H, W) stacks, got shape {pa.shape}")
     c1 = 0.01**2
     c2 = 0.03**2
-    mu_a = pa.mean()
-    mu_b = pb.mean()
-    var_a = pa.var(ddof=1)
-    var_b = pb.var(ddof=1)
-    cov = float(((pa - mu_a) * (pb - mu_b)).sum() / (pa.size - 1))
-    return float(
-        ((2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2))
-        / ((mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2))
+    pixels = (-2, -1)
+    mu_a = pa.mean(axis=pixels, keepdims=True)
+    mu_b = pb.mean(axis=pixels, keepdims=True)
+    var_a = pa.var(axis=pixels, ddof=1)
+    var_b = pb.var(axis=pixels, ddof=1)
+    cov = ((pa - mu_a) * (pb - mu_b)).sum(axis=pixels) / (pa.shape[-2] * pa.shape[-1] - 1)
+    mu_a, mu_b = mu_a[..., 0, 0], mu_b[..., 0, 0]
+    value = ((2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)) / (
+        (np.float_power(mu_a, 2) + np.float_power(mu_b, 2) + c1) * (var_a + var_b + c2)
     )
+    return float(value) if pa.ndim == 2 else value
 
 
 @dataclass(frozen=True)
@@ -414,7 +437,8 @@ def attack_experiment(
     itself, an aggregate as a positive multiple of itself, and a node
     absent from the view as zero, which leaves its dummy unchanged.
     Every target of every view is inverted in one `invert_gradient`
-    batch, and one AttackResult is returned per view, in order.
+    batch and scored in one `ssim` call, and one AttackResult is
+    returned per view, in order.
     Dataset, model and per-target dummy initializations derive from
     (seed, node) only, never from the mode or graph, so runs across
     modes are directly comparable. Deterministic per seed.
@@ -455,18 +479,24 @@ def attack_experiment(
         ] * len(views),
     )
 
+    scores = ssim(
+        np.stack([recon.pixels for recon in recons]),
+        np.stack([images[node].pixels for node in nodes] * len(views)),
+    )
+
     results = []
     for idx, (mode, graph, _) in enumerate(views):
+        span = slice(idx * len(nodes), (idx + 1) * len(nodes))
         targets = tuple(
             TargetReconstruction(
                 node=node,
                 is_neighbor=bool(graph.adjacency[corrupt_node, node])
                 if mode.decentralized
                 else None,
-                ssim=ssim(recon, images[node]),
+                ssim=float(score),
                 image=recon,
             )
-            for node, recon in zip(nodes, recons[idx * len(nodes):(idx + 1) * len(nodes)])
+            for node, recon, score in zip(nodes, recons[span], scores[span])
         )
         results.append(
             AttackResult(

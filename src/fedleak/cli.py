@@ -98,14 +98,13 @@ class _Option:
 
 
 _NODE_COUNTS = (10, 20, 30, 40, 50)
-_NODES_HELP = "comma-separated node counts (or one count)"
 _OPTIONS = (  # attack's n and densities default to None: a graph file gives them
     _Option("seed", "root RNG seed", simulate=0, attack=0, analytic=0),
     _Option("out_dir", "output directory", str, lambda text: str(Path(text)),
             simulate="out/simulate", attack="out/attack", analytic=None),
-    _Option("n", _NODES_HELP, item="node count",
+    _Option("n", "comma-separated node counts (or one count)", item="node count",
             simulate=_NODE_COUNTS, analytic=_NODE_COUNTS),
-    _Option("n", _NODES_HELP, attack=None),  # one count
+    _Option("n", "node count (one value; default 10, or the graph file's)", attack=None),
     _Option("densities", "comma-separated target densities", float, repr, item="density",
             simulate=(0.3, 0.6, 0.9), attack=None, analytic=()),
     _Option("modes", "comma-separated subset of cfl,cfl_sa,dfl,dfl_sa", Mode.parse,

@@ -4,10 +4,12 @@ All writers are deterministic (no timestamps inside data files, floats
 rendered with shortest round-trip repr, LF line endings, '.' decimal
 point) so repeated runs with the same inputs produce byte-identical
 files. Writes go through a temp-file-then-rename step to stay atomic;
-write_pgm makes each image file that repeats an earlier one of its call
-a hard link of that file, through a link-then-rename step, and writes
-it alone if the link fails. Rewriting any path through
-atomic_write_text gives it its own file again.
+write_pgm formats each distinct image once and makes each image file
+that repeats an earlier one of its call a hard link of that file: a new
+path is linked straight to its name, an existing one through a link to
+a temporary name and a rename, and a path whose link fails is written
+alone. Rewriting any path through atomic_write_text gives it its own
+file again.
 """
 
 from __future__ import annotations
@@ -98,13 +100,21 @@ def write_pgm(images: Mapping[str | Path, np.ndarray]) -> None:
     pixels in [0, 1], rounded half to even and clipped.
 
     Every image is checked and formatted before any file is written, so
-    a non-finite pixel writes nothing. The first path of each distinct
-    text is written through atomic_write_text; every later path with the
-    same text becomes a hard link of that file (_link_file), so a call
+    a non-finite pixel writes nothing; equal pixel arrays (same shape and
+    values) are formatted once. The first path of each distinct text is
+    written through atomic_write_text; every later path with the same
+    text becomes a hard link of that file (_link_file), so a call
     allocates one file per distinct image. A path whose link fails (no
-    hard links on its file system, too many links, a name clash) is
-    written alone."""
-    texts = {Path(path): _pgm_text(path, pixels) for path, pixels in images.items()}
+    hard links on its file system, too many links, a missing directory)
+    is written alone."""
+    text_of: dict[tuple, str] = {}  # (shape, pixel bytes) -> text
+    texts = {}
+    for path, pixels in images.items():
+        px = np.asarray(pixels, dtype=float)
+        key = (px.shape, px.tobytes())
+        if key not in text_of:
+            text_of[key] = _pgm_text(path, px)
+        texts[Path(path)] = text_of[key]
     first: dict[str, Path] = {}
     for path, text in texts.items():
         source = first.setdefault(text, path)
@@ -112,9 +122,8 @@ def write_pgm(images: Mapping[str | Path, np.ndarray]) -> None:
             atomic_write_text(path, text)
 
 
-def _pgm_text(path: str | Path, pixels: np.ndarray) -> str:
+def _pgm_text(path: str | Path, px: np.ndarray) -> str:
     maxval = 255
-    px = np.asarray(pixels, dtype=float)
     if px.ndim != 2:
         raise ValueError(f"{path}: pixels must be 2-d, got shape {px.shape}")
     if not np.isfinite(px).all():
@@ -126,9 +135,17 @@ def _pgm_text(path: str | Path, pixels: np.ndarray) -> str:
 
 
 def _link_file(source: Path, path: Path) -> bool:
-    """Replace path by a hard link of source, atomically: link to a new
-    temporary name beside path, then rename. False, with nothing
-    changed, if the link fails."""
+    """Make path a hard link of source. A new path is linked straight to
+    its name. An existing path is replaced atomically: link to a new
+    temporary name beside it, then rename. False, with nothing changed,
+    if the link fails."""
+    try:
+        os.link(source, path)
+        return True
+    except FileExistsError:
+        pass
+    except OSError:
+        return False
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
     try:
         os.link(source, tmp)

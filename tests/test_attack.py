@@ -248,9 +248,20 @@ class TestInvertGradientBatch:
         start = ToyImage(pixels=dummy(seeds[3]).reshape(8, 8), label=3)
         assert not np.any(toy_gradient(model, start))
 
-    def test_each_row_equals_its_batch_of_one(self, batch):
-        model, observed, labels, seeds, recons = batch
+    @pytest.fixture(scope="class")
+    def shared_seed_batch(self, batch):
+        # every row repeats one SeedSequence object, so its dummy is drawn once
+        model, observed, labels, _, _ = batch
+        seeds = [np.random.SeedSequence(7)] * len(labels)
+        recons = invert_gradient(observed, model, labels, iters=200, seed=seeds)
+        return model, observed, labels, seeds, recons
+
+    @pytest.mark.parametrize("fixture", ["batch", "shared_seed_batch"])
+    def test_each_row_equals_its_batch_of_one(self, request, fixture):
+        model, observed, labels, seeds, recons = request.getfixturevalue(fixture)
         assert len(recons) == len(labels)
+        # the zero observation shows the dummy its row started from
+        assert np.array_equal(recons[2].pixels.ravel(), dummy(seeds[2]))
         for row, recon in enumerate(recons):
             alone = invert_gradient(
                 observed[row], model, labels[row], iters=200, seed=seeds[row]
@@ -457,7 +468,37 @@ class TestWorkloadBatch:
             assert np.array_equal(recon.pixels.ravel(), expected), row
 
 
+def scalar_ssim(a, b):
+    """The one-image SSIM on numpy scalars, whose ``**`` squares through
+    C pow: the reference for ssim's last bits."""
+    mu_a, mu_b = a.mean(), b.mean()
+    var_a, var_b = a.var(ddof=1), b.var(ddof=1)
+    cov = float(((a - mu_a) * (b - mu_b)).sum() / (a.size - 1))
+    return float(
+        ((2.0 * mu_a * mu_b + 1e-4) * (2.0 * cov + 9e-4))
+        / ((mu_a**2 + mu_b**2 + 1e-4) * (var_a + var_b + 9e-4))
+    )
+
+
 class TestSsim:
+    # at seed 174 a mean's square by C pow differs in the last bit from
+    # its square by multiplication, which an array's ** takes
+    @pytest.mark.parametrize("seed", [0, 1, 2, 174])
+    def test_stack_equals_each_pair_bit_for_bit(self, seed):
+        # pixels in [-0.5, 1.5]; row 0 pairs a constant image, row 1 an
+        # identical pair
+        rng = np.random.default_rng(seed)
+        a, b = rng.uniform(-0.5, 1.5, (2, 12, 8, 8))
+        a[0] = rng.uniform()
+        b[1] = a[1]
+        values = ssim(a, b)
+        assert values.shape == (12,)
+        assert values[1] == pytest.approx(1.0, abs=1e-12)
+        for row in range(12):
+            alone = ssim(a[row], b[row])
+            assert type(alone) is float
+            assert values[row] == alone == scalar_ssim(a[row], b[row]), row
+
     def test_identical_images_score_one(self):
         img = make_blob_dataset(1, seed=0)[0]
         assert ssim(img, img) == pytest.approx(1.0, abs=1e-12)
@@ -485,9 +526,15 @@ class TestSsim:
         flat = np.full((8, 8), 0.5)
         assert ssim(img, flat) < 0.5
 
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="shapes"):
-            ssim(np.zeros((2, 2)), np.zeros((3, 3)))
+    @pytest.mark.parametrize(
+        "shape_a, shape_b, message",
+        [((2, 2), (3, 3), "shapes differ"), ((2, 8, 8), (3, 8, 8), "shapes differ"),
+         ((64,), (64,), "need images or"), ((1, 2, 8, 8), (1, 2, 8, 8), "need images or")],
+        ids=["images", "stacks", "1-d", "4-d"],
+    )
+    def test_shape_mismatch_rejected(self, shape_a, shape_b, message):
+        with pytest.raises(ValueError, match=message):
+            ssim(np.zeros(shape_a), np.zeros(shape_b))
 
 
 def quick_attack(mode, density, seed=0, n=10, iters=120):
@@ -560,6 +607,23 @@ class TestAttackExperiment:
             for t, u in zip(result.targets, alone.targets, strict=True):
                 assert (t.node, t.is_neighbor, t.ssim) == (u.node, u.is_neighbor, u.ssim)
                 assert np.array_equal(t.image.pixels, u.image.pixels)
+
+    def test_each_target_scores_its_own_image(self, monkeypatch):
+        datasets = []
+
+        def recorded(count, seed):
+            datasets.append(make_blob_dataset(count, seed))
+            return datasets[-1]
+
+        monkeypatch.setattr(attack, "make_blob_dataset", recorded)
+        graph, weights = cell_topology(1, 6, 0.6)
+        views = [(Mode.CFL_SA, None, None), (Mode.DFL, graph, weights)]
+        results = attack_experiment(views, n=6, seed=1, iters=60)
+        (images,) = datasets
+        for result in results:
+            for t in result.targets:
+                assert type(t.ssim) is float
+                assert t.ssim == ssim(t.image, images[t.node]), (result.mode, t.node)
 
     def test_topology_required_for_decentralized(self):
         with pytest.raises(ValueError, match="requires a graph"):

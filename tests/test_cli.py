@@ -49,6 +49,16 @@ def output_files(out_dir):
     )
 
 
+def test_attack_help_describes_n_as_one_count(capsys):
+    helps = {}
+    for command in ("attack", "simulate"):
+        assert main([command, "--help"]) == EXIT_OK
+        helps[command] = " ".join(capsys.readouterr().out.split())
+    assert "--n N node count (one value; default 10, or the graph file's)" in helps["attack"]
+    assert "--n N comma-separated node counts (or one count)" in helps["simulate"]
+    assert "comma-separated node counts" not in helps["attack"]
+
+
 class TestUsageErrors:
     def test_tol_only_accepted_by_verify(self, tmp_path):
         assert simulate(tmp_path, *SMALL_SWEEP, "--tol", "0.1") == EXIT_USAGE

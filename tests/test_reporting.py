@@ -2,6 +2,7 @@ import errno
 import importlib
 import os
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,6 +81,55 @@ class TestWritePgm:
         for path, twin in zip(written, linked):
             assert path.is_file() and not path.is_symlink() and path.stat().st_nlink == 1
             assert path.read_bytes() == twin.read_bytes()
+
+    @pytest.fixture
+    def formatted(self, monkeypatch):
+        """The pixel arrays write_pgm formats, in call order."""
+        calls = []
+        pgm_text = reporting._pgm_text
+
+        def counted(path, pixels):
+            calls.append(pixels.copy())
+            return pgm_text(path, pixels)
+
+        monkeypatch.setattr(reporting, "_pgm_text", counted)
+        return calls
+
+    def test_each_distinct_array_is_formatted_once(self, tmp_path, formatted):
+        write_pgm(self.images(tmp_path))
+        # a, c and e hold PIXELS; b and d its rows reversed
+        assert len(formatted) == 2
+        assert np.array_equal(formatted[0], self.PIXELS)
+        assert np.array_equal(formatted[1], self.PIXELS[::-1])
+
+    def test_arrays_with_one_text_share_one_file(self, tmp_path, formatted):
+        # every pixel moves by less than half a grey level
+        images = {tmp_path / "a.pgm": self.PIXELS, tmp_path / "b.pgm": self.PIXELS + 1e-4}
+        write_pgm(images)
+        assert len(formatted) == 2
+        assert (tmp_path / "a.pgm").stat().st_ino == (tmp_path / "b.pgm").stat().st_ino
+        assert (tmp_path / "b.pgm").read_bytes() == self.TEXT
+
+    def test_new_path_is_linked_straight_to_its_name(self, tmp_path, monkeypatch):
+        links, replaced = [], []
+        link, replace = os.link, os.replace
+
+        def recorded_link(source, path):
+            links.append(Path(path))
+            link(source, path)
+
+        def recorded_replace(source, path):
+            replaced.append(Path(path))
+            replace(source, path)
+
+        monkeypatch.setattr(reporting.os, "link", recorded_link)
+        monkeypatch.setattr(reporting.os, "replace", recorded_replace)
+        a, b, c, d = (tmp_path / f"{name}.pgm" for name in "abcd")
+        write_pgm({a: self.PIXELS, b: self.PIXELS[::-1], c: self.PIXELS, d: self.PIXELS})
+        # os.replace only moves each distinct text's temporary file in
+        assert links == [c, d]
+        assert replaced == [a, b]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.pgm", "b.pgm", "c.pgm", "d.pgm"]
 
     @pytest.mark.parametrize(
         "pixels", [[[np.nan, 0.5], [np.inf, -np.inf]], [[0.5, 0.5], [0.5, np.nan]]]
