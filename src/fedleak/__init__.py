@@ -30,7 +30,6 @@ from .leakage import (
     LeakageReport,
     Proposition1Verdict,
     draw_gradient_samples,
-    estimate_mode_leakage,
     run_experiment,
     verify_proposition1,
 )

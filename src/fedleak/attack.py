@@ -15,9 +15,9 @@ sign-of-gradient descent (learning rate decays 10x at 50% and 75% of
 the iterations; a constant step would oscillate at the step size).
 Labels are treated as known: the attack reconstructs inputs only.
 
-The adversary attacks its one-round view, protocol.extract_observation
-of the per-node gradients, through each target's Gaussian conditional
-mean (see `attack_experiment`).
+The adversary attacks its one-round view of the per-node gradients,
+Y = G^T V in protocol.view_matrix's V, through each target's Gaussian
+conditional mean (see `attack_experiment`).
 
 The inversion is batched: `invert_gradient` takes a stack of observed
 gradients with one label and one dummy seed per row, and runs one
@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import Mode, extract_observation, view_matrix
+from .protocol import Mode, view_matrix
 from .topology import Graph, WeightMatrix, metropolis_weights
 
 __all__ = [
@@ -430,8 +430,8 @@ def attack_experiment(
     modes need the graph, and weights default to its Metropolis weights.
     Each node holds one synthetic image; all per-node gradients are
     taken at a shared random model. The adversary's observation is
-    protocol.extract_observation of those gradients, Y = G^T V in the
-    view matrix V (protocol.view_matrix), which drops its own gradient.
+    Y = G^T V, those gradients times the view matrix V
+    (protocol.view_matrix), which drops its own gradient.
     Target i is attacked through the Gaussian conditional mean of its
     gradient given Y, Y (V^T V)^+ v_i: a shown gradient comes back as
     itself, an aggregate as a positive multiple of itself, and a node
@@ -463,9 +463,8 @@ def attack_experiment(
     for mode, graph, weights in views:
         if weights is None and graph is not None:
             weights = metropolis_weights(graph)
-        y, _ = extract_observation(mode, corrupt_node, grads.T, graph, weights)
         v = view_matrix(mode, corrupt_node, n, graph, weights)
-        estimate = y.reshape(len(y), -1) @ np.linalg.pinv(v.T @ v)
+        estimate = grads.T @ v @ np.linalg.pinv(v.T @ v)
         observed += [estimate @ v[node] for node in nodes]
     recons = invert_gradient(
         np.stack(observed),

@@ -231,26 +231,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     report = run_experiment(config, progress)
 
     pairs_path = out_dir / "leakage_pairs.csv"
-    cfl_by_cell = {
-        (row.n, row.density): row.leakage_nats
-        for row in report.summary
-        if row.mode is Mode.CFL
-    }
-    pair_rows = []
-    for pair in report.pairs:
-        cfl = cfl_by_cell.get((pair.n, pair.density), math.nan)
-        pair_rows.append(
-            (
-                pair.mode.value,
-                pair.n,
-                pair.density,
-                pair.corrupt,
-                pair.target,
-                pair.mi_nats,
-                pair.mi_analytic,
-                pair.mi_nats / cfl if cfl else math.nan,
-            )
+    pair_rows = [
+        (
+            pair.mode.value,
+            pair.n,
+            pair.density,
+            pair.corrupt,
+            pair.target,
+            pair.mi_nats,
+            pair.mi_analytic,
+            pair.relative,
         )
+        for pair in report.pairs
+    ]
     write_csv(
         pairs_path,
         ["mode", "n", "density", "k", "i", "mi_nats", "mi_analytic", "relative"],

@@ -27,7 +27,8 @@ Self-information I(G_i; G_i) diverges for continuous variables: the
 estimator reports its finite value at the given sample count, never a
 symbolic infinity, so relative leakage depends on the pinned sample
 size. A mode's average divided by the CFL average gives the relative
-leakage that the topology/aggregation combination leaks per node.
+leakage that the topology/aggregation combination leaks per node;
+run_experiment alone divides, for every cell average and every pair.
 
 Beside the estimates stand the Gaussian closed forms of the same view:
 infotheory.gaussian_view_mi on protocol.view_matrix, one call per
@@ -69,14 +70,12 @@ from .topology import (
 __all__ = [
     "ExperimentConfig",
     "PairLeakage",
-    "ModeLeakage",
     "CellSummary",
     "LeakageReport",
     "RelationVerdict",
     "CellVerdict",
     "Proposition1Verdict",
     "draw_gradient_samples",
-    "estimate_mode_leakage",
     "verify_proposition1",
     "run_experiment",
     "analytic_cell_average",
@@ -137,7 +136,8 @@ class PairLeakage:
     corrupt is -1 for CFL, whose per-target term does not involve a
     corrupt-node index. mi_analytic is the closed form for the
     secure-aggregation modes and NaN for CFL / DFL, whose shown targets
-    have infinite self-information."""
+    have infinite self-information. relative is mi_nats over the cell's
+    CFL average, NaN without one, as for CellSummary.relative."""
 
     mode: Mode
     n: int
@@ -146,15 +146,7 @@ class PairLeakage:
     target: int
     mi_nats: float
     mi_analytic: float
-
-
-@dataclass(frozen=True)
-class ModeLeakage:
-    """Per-pair estimates plus their average for one mode on one cell."""
-
-    mode: Mode
-    pairs: tuple[tuple[int, int, float], ...]  # (corrupt, target, nats)
-    average: float
+    relative: float
 
 
 @dataclass(frozen=True)
@@ -195,54 +187,18 @@ def draw_gradient_samples(n: int, samples: int, seed) -> SampleMatrix:
     return SampleMatrix(data=rng.standard_normal((samples, n)))
 
 
-def _corrupt_nodes(mode: Mode, n: int, subset: Sequence[int] | None = None) -> Sequence[int]:
-    """The corrupt nodes a mode's estimate enumerates, in order: -1
-    alone for CFL, which involves none; else subset, sorted, or every
-    node."""
-    if mode is Mode.CFL:
-        return (-1,)
-    return range(n) if subset is None else sorted(subset)
-
-
 def _corrupt_pairs(
     est: _CellEstimator, mode: Mode, k: int, graph: Graph | None, weights: WeightMatrix | None
 ) -> list[tuple[int, int, float]]:
     """(k, target, nats) of every target i != k, in target order, for the
-    corrupt node k of est's cell: extract_observation's view of the
-    sample columns, scored by est."""
+    corrupt node k of est's cell (-1 for CFL, which involves none):
+    extract_observation's view of the sample columns, scored by est."""
     data = est.data
     observed, visible = extract_observation(mode, k, data, graph, weights)
     targets = [i for i in range(data.shape[1]) if i != k]
     hidden = [i for i in targets if i not in visible]
     scored = dict(zip(hidden, est.mi(observed, hidden)))
     return [(k, i, est.self_mi(i) if i in visible else scored[i]) for i in targets]
-
-
-def estimate_mode_leakage(
-    mode: Mode,
-    samples: SampleMatrix,
-    graph: Graph | None = None,
-    weights: WeightMatrix | None = None,
-    k_nn: int = 3,
-    corrupt_nodes: Sequence[int] | None = None,
-) -> ModeLeakage:
-    """Estimate one mode's leakage table over (corrupt, target) pairs.
-
-    Each corrupt node's observation is protocol.extract_observation's
-    view of the sample columns. Targets that view shows directly
-    contribute the self term I(G_i; G_i); every other target gets one
-    KSG estimate against the view. corrupt_nodes restricts the
-    enumeration of k (an unbiased subsample of the same average); None
-    enumerates all nodes. CFL involves no corrupt node and ignores it.
-    """
-    est = _CellEstimator(samples.data, k_nn)
-    pairs = [
-        pair
-        for k in _corrupt_nodes(mode, samples.n_variables, corrupt_nodes)
-        for pair in _corrupt_pairs(est, mode, k, graph, weights)
-    ]
-    average = float(np.mean([p[2] for p in pairs]))
-    return ModeLeakage(mode=mode, pairs=tuple(pairs), average=average)
 
 
 def _closed_forms(
@@ -342,6 +298,27 @@ def _raise_terminated(signum, frame):
     raise _Terminated
 
 
+_WORKER_CHECK_S = 0.1
+
+
+def _group_result(group, workers):
+    """group.get(), checking every _WORKER_CHECK_S that each of workers
+    still runs. A pool replaces a worker that exits, but never finishes
+    or fails the task that worker held, so its group would never be
+    ready: a worker that is gone raises RuntimeError instead."""
+    group.wait(_WORKER_CHECK_S)
+    while not group.ready():
+        alive = multiprocessing.active_children()
+        for worker in workers:
+            if worker not in alive:
+                raise RuntimeError(
+                    f"sweep worker {worker.pid} exited with code {worker.exitcode} "
+                    "before the sweep finished"
+                )
+        group.wait(_WORKER_CHECK_S)
+    return group.get()
+
+
 @contextmanager
 def _pool_results(tasks: list[list[tuple[int, Mode, int]]], cells):
     """tasks is a list of task groups. Yield an iterator that gives, for
@@ -359,7 +336,8 @@ def _pool_results(tasks: list[list[tuple[int, Mode, int]]], cells):
     with the parent's binding of _corrupt_pairs; spawned ones would
     import both again. Every worker is ended when the block exits:
     after the last result, when a task raises (its exception reaches
-    the caller), or on SIGTERM, which then ends the workers and the
+    the caller), when a worker exits (_group_result raises
+    RuntimeError), or on SIGTERM, which then ends the workers and the
     parent, by SIGTERM's default action. A process that handles or
     ignores SIGTERM itself, or a thread other than the main one (which
     cannot set a handler), keeps its own handling."""
@@ -372,9 +350,11 @@ def _pool_results(tasks: list[list[tuple[int, Mode, int]]], cells):
         signal.signal(signal.SIGTERM, _raise_terminated)
     try:
         fork = multiprocessing.get_context("fork")
+        before = set(multiprocessing.active_children())
         with fork.Pool(workers, _init_worker, (cells,)) as pool:
+            started = set(multiprocessing.active_children()) - before
             groups = [pool.map_async(_estimate_unit, group, chunksize=1) for group in tasks]
-            yield (group.get() for group in groups)
+            yield (_group_result(group, started) for group in groups)
     except _Terminated:
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
         signal.raise_signal(signal.SIGTERM)
@@ -394,7 +374,8 @@ def run_experiment(config: ExperimentConfig, progress=None) -> LeakageReport:
     pool of forked worker processes (_pool_results), which inherit them,
     then scores each (cell, mode, corrupt node) as one task, and the
     parent joins each (cell, mode)'s pairs in task order, which is
-    corrupt order, and averages them, as estimate_mode_leakage does. The
+    corrupt order, and averages them. Every pair and every cell average
+    is divided by the cell's CFL average for its relative leakage. The
     report is assembled in sweep order, and no result depends on the
     number of workers. progress, when given, is called as progress(done,
     total, n, density) once all of a cell's estimates have arrived."""
@@ -414,7 +395,11 @@ def run_experiment(config: ExperimentConfig, progress=None) -> LeakageReport:
                 actual_density = graph.density
                 report.graphs[(n, density)] = graph
             tasks.append(
-                [(len(cells), mode, k) for mode in config.modes for k in _corrupt_nodes(mode, n)]
+                [
+                    (len(cells), mode, k)
+                    for mode in config.modes
+                    for k in ((-1,) if mode is Mode.CFL else range(n))
+                ]
             )
             cells.append((n, density, graph, w, actual_density))
             inputs.append((_CellEstimator(samples.data, config.k_nn), graph, w))
@@ -425,11 +410,16 @@ def run_experiment(config: ExperimentConfig, progress=None) -> LeakageReport:
             mode_pairs: dict[Mode, list[tuple[int, int, float]]] = {}
             for (_, mode, _), pairs in zip(group, task_results):
                 mode_pairs.setdefault(mode, []).extend(pairs)
-            averages: dict[Mode, float] = {}
-            analytic: dict[Mode, float] = {}
+            averages = {
+                mode: float(np.mean([p[2] for p in pairs])) for mode, pairs in mode_pairs.items()
+            }
+            cfl_avg = averages.get(Mode.CFL, math.nan)
+
+            def relative(value: float) -> float:
+                return value / cfl_avg if cfl_avg else math.nan
+
             for mode, pairs in mode_pairs.items():
-                averages[mode] = float(np.mean([p[2] for p in pairs]))
-                closed, analytic[mode] = _closed_forms(mode, n, graph, w)
+                closed, analytic = _closed_forms(mode, n, graph, w)
                 for corrupt, target, value in pairs:
                     report.pairs.append(
                         PairLeakage(
@@ -440,10 +430,9 @@ def run_experiment(config: ExperimentConfig, progress=None) -> LeakageReport:
                             target=target,
                             mi_nats=value,
                             mi_analytic=closed.get((corrupt, target), math.nan),
+                            relative=relative(value),
                         )
                     )
-            cfl_avg = averages.get(Mode.CFL, math.nan)
-            for mode in mode_pairs:
                 report.summary.append(
                     CellSummary(
                         mode=mode,
@@ -451,8 +440,8 @@ def run_experiment(config: ExperimentConfig, progress=None) -> LeakageReport:
                         density=density,
                         actual_density=actual_density if mode.decentralized else math.nan,
                         leakage_nats=averages[mode],
-                        analytic_nats=analytic[mode],
-                        relative=averages[mode] / cfl_avg if cfl_avg else math.nan,
+                        analytic_nats=analytic,
+                        relative=relative(averages[mode]),
                     )
                 )
             if progress is not None:

@@ -15,8 +15,8 @@ Secure aggregation is modeled at the observation level (what reaches
 the adversary), not cryptographically. The adversary always knows its
 own gradient g_k, so extract_observation returns the view with that
 known term dropped. It is the one definition of what the adversary
-sees: the leakage estimator, the closed forms and the attack all read
-it.
+sees: the leakage estimator reads it on the sample columns, and the
+closed forms and the attack read view_matrix, its view of the identity.
 
 Every view is linear in the gradients, g -> g @ V for an (n, r) matrix
 V whose row j says how node j's gradient enters the view. view_matrix

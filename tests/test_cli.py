@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 import select
 import signal
@@ -351,14 +352,19 @@ class TestSimulateOutputs:
         ]
 
     @pytest.mark.usefixtures("stall_guard")
-    def test_failing_unit_is_a_runtime_error(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("lost", [False, True], ids=["raises", "exits"])
+    def test_failing_unit_is_a_runtime_error(self, tmp_path, capsys, monkeypatch, lost):
         def failing(*args, **kwargs):
+            if lost:  # the worker is gone, and its task never ends
+                os._exit(7)
             raise ValueError("no estimate")
 
         # the function each pool task runs
         monkeypatch.setattr(leakage, "_corrupt_pairs", failing)
         assert simulate(tmp_path, *SMALL_SWEEP) == EXIT_RUNTIME
-        assert "error: no estimate" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert ("exited with code 7" if lost else "error: no estimate") in err
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.usefixtures("stall_guard")
     def test_sigterm_leaves_no_worker(self, tmp_path):

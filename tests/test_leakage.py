@@ -19,7 +19,6 @@ from fedleak.leakage import (
     cell_seed_sequences,
     cell_topology,
     draw_gradient_samples,
-    estimate_mode_leakage,
     run_experiment,
     verify_proposition1,
 )
@@ -74,6 +73,19 @@ class TestDrawGradientSamples:
         assert np.array_equal(a.data, b.data)
 
 
+def mode_pairs(mode, samples, graph=None, weights=None, k_nn=3):
+    """(k, i, nats) of every pair of one mode on one cell, in one
+    process: the pool's task, _corrupt_pairs, for each corrupt node in
+    run_experiment's order (-1 alone for CFL, which involves none)."""
+    est = leakage._CellEstimator(samples.data, k_nn)
+    corrupt = (-1,) if mode is Mode.CFL else range(samples.n_variables)
+    return [pair for k in corrupt for pair in leakage._corrupt_pairs(est, mode, k, graph, weights)]
+
+
+def average(pairs):
+    return float(np.mean([value for _, _, value in pairs]))
+
+
 @pytest.fixture(scope="module")
 def small_cell():
     n = 8
@@ -86,9 +98,9 @@ def small_cell():
 class TestEstimateModeLeakage:
     def test_cfl_terms_are_self_information(self, small_cell):
         n, samples, _, _ = small_cell
-        result = estimate_mode_leakage(Mode.CFL, samples)
-        assert len(result.pairs) == n
-        for corrupt, target, value in result.pairs:
+        pairs = mode_pairs(Mode.CFL, samples)
+        assert len(pairs) == n
+        for corrupt, target, value in pairs:
             assert corrupt == -1
             assert value == pytest.approx(
                 knn_mi(samples.data[:, target], samples.data[:, target]).value
@@ -98,29 +110,29 @@ class TestEstimateModeLeakage:
         n, samples, _, _ = small_cell
         complete = generate_graph(n, 1.0, seed=0)
         w = metropolis_weights(complete)
-        cfl = estimate_mode_leakage(Mode.CFL, samples)
-        dfl = estimate_mode_leakage(Mode.DFL, samples, graph=complete, weights=w)
+        cfl = mode_pairs(Mode.CFL, samples)
+        dfl = mode_pairs(Mode.DFL, samples, graph=complete, weights=w)
         # identical estimator calls, just averaged over (k, i) pairs
-        assert dfl.average == pytest.approx(cfl.average, abs=1e-12)
+        assert average(dfl) == pytest.approx(average(cfl), abs=1e-12)
 
     def test_dfl_relative_leakage_tracks_density(self, small_cell):
         n, samples, graph, weights = small_cell
-        cfl = estimate_mode_leakage(Mode.CFL, samples)
-        dfl = estimate_mode_leakage(Mode.DFL, samples, graph=graph, weights=weights)
-        assert dfl.average / cfl.average == pytest.approx(
+        cfl = mode_pairs(Mode.CFL, samples)
+        dfl = mode_pairs(Mode.DFL, samples, graph=graph, weights=weights)
+        assert average(dfl) / average(cfl) == pytest.approx(
             graph.density, abs=0.05
         )
 
     def test_cfl_sa_average_matches_closed_form(self):
         samples = draw_gradient_samples(10, 1000, seed=5)
-        result = estimate_mode_leakage(Mode.CFL_SA, samples)
-        assert len(result.pairs) == 90
-        assert result.average == pytest.approx(cfl_sa_closed_form(10), abs=0.01)
+        pairs = mode_pairs(Mode.CFL_SA, samples)
+        assert len(pairs) == 90
+        assert average(pairs) == pytest.approx(cfl_sa_closed_form(10), abs=0.01)
 
     def test_dfl_sa_non_neighbor_pairs_near_zero(self, small_cell):
         n, samples, graph, weights = small_cell
-        result = estimate_mode_leakage(Mode.DFL_SA, samples, graph=graph, weights=weights)
-        far = [p for p in result.pairs if not graph.adjacency[p[0], p[1]]]
+        pairs = mode_pairs(Mode.DFL_SA, samples, graph=graph, weights=weights)
+        far = [p for p in pairs if not graph.adjacency[p[0], p[1]]]
         # A non-neighbor's gradient is absent from the aggregate, so each
         # true MI is 0 and each estimate is KSG noise around it. Its scale
         # comes from a shuffle null of the same reduced observation
@@ -149,7 +161,7 @@ class TestEstimateModeLeakage:
         n, samples, graph, weights = small_cell
         data = samples.data
         for mode in (Mode.CFL_SA, Mode.DFL_SA):
-            fast = estimate_mode_leakage(mode, samples, graph=graph, weights=weights)
+            fast = mode_pairs(mode, samples, graph=graph, weights=weights)
             cond = []
             for k in range(n):
                 if mode is Mode.CFL_SA:
@@ -161,7 +173,7 @@ class TestEstimateModeLeakage:
                     for i in range(n)
                     if i != k
                 ]
-            assert np.mean(cond) == pytest.approx(fast.average, abs=0.05)
+            assert np.mean(cond) == pytest.approx(average(fast), abs=0.05)
 
     @pytest.mark.parametrize(
         "block, candidates",
@@ -185,28 +197,29 @@ class TestEstimateModeLeakage:
             # rounded to 0.1: tied distances and zero radii in every marginal
             return SampleMatrix(data=np.round(samples.data, 1))
 
-        def check(samples, graph, modes, corrupt_nodes=None):
+        def check(samples, graph, mode, pairs):
             data = samples.data
             weights = metropolis_weights(graph)
-            results = {}
-            for mode in modes:
-                results[mode] = result = estimate_mode_leakage(
-                    mode, samples, graph=graph, weights=weights, corrupt_nodes=corrupt_nodes
-                )
-                for k, i, value in result.pairs:
-                    target = data[:, i]
-                    if mode is Mode.CFL:
-                        observed = target
-                    elif mode is Mode.CFL_SA:
-                        observed = data.sum(axis=1) - data[:, k]
-                    elif mode is Mode.DFL_SA:
-                        row = weights.row(k)
-                        observed = data @ row - row[k] * data[:, k]
-                    else:
-                        nbrs = graph.neighbors(k)
-                        observed = target if i in nbrs else data[:, nbrs]
-                    assert value == knn_mi(observed, target).value, (mode, k, i)
-            return results
+            for k, i, value in pairs:
+                target = data[:, i]
+                if mode is Mode.CFL:
+                    observed = target
+                elif mode is Mode.CFL_SA:
+                    observed = data.sum(axis=1) - data[:, k]
+                elif mode is Mode.DFL_SA:
+                    row = weights.row(k)
+                    observed = data @ row - row[k] * data[:, k]
+                else:
+                    nbrs = graph.neighbors(k)
+                    observed = target if i in nbrs else data[:, nbrs]
+                assert value == knn_mi(observed, target).value, (mode, k, i)
+
+        def check_modes(samples, graph):
+            weights = metropolis_weights(graph)
+            for mode in ALL_MODES:
+                pairs = mode_pairs(mode, samples, graph=graph, weights=weights)
+                check(samples, graph, mode, pairs)
+                assert len(pairs) == (n if mode is Mode.CFL else n * (n - 1))
 
         n = 6
         # nodes 0 and 5 are leaves; nodes 1 to 4 have two or three neighbors
@@ -218,17 +231,18 @@ class TestEstimateModeLeakage:
         coarse = np.round(gaussian.data)
         coarse[0] = 10.0 + np.arange(n)
         for samples in (gaussian, rounded(gaussian), SampleMatrix(coarse)):
-            for mode, result in check(samples, graph, ALL_MODES).items():
-                assert len(result.pairs) == (n if mode is Mode.CFL else n * (n - 1))
+            check_modes(samples, graph)
         # N = k + 1 has no candidate set; N = k + 2 has one of k + 1 points
         for n_samples in (4, 5):
-            check(draw_gradient_samples(n, n_samples, seed=n_samples), graph, ALL_MODES)
+            check_modes(draw_gradient_samples(n, n_samples, seed=n_samples), graph)
         # node 0 sees 20 neighbors and scores the three nodes beyond node 20
         wide = Graph(n=24, edges=tuple((0, j) for j in range(1, 21)) + ((20, 21), (21, 22), (22, 23)))
         gaussian = draw_gradient_samples(24, 300, seed=12)
         for samples in (gaussian, rounded(gaussian)):
-            result = check(samples, wide, (Mode.DFL,), corrupt_nodes=[0])[Mode.DFL]
-            assert [i for _, i, _ in result.pairs if i > 20] == [21, 22, 23]
+            est = leakage._CellEstimator(samples.data, 3)
+            pairs = leakage._corrupt_pairs(est, Mode.DFL, 0, wide, None)
+            check(samples, wide, Mode.DFL, pairs)
+            assert [i for _, i, _ in pairs if i > 20] == [21, 22, 23]
 
     @pytest.mark.parametrize("decimals", [None, 1], ids=["gaussian", "rounded"])
     def test_mi_scores_every_listed_target_as_knn_mi(self, decimals):
@@ -257,8 +271,7 @@ class TestEstimateModeLeakage:
         est = leakage._CellEstimator(samples.data, 3)
         assert est.mi(samples.data[:, [0, 3]], []) == []
         graph = generate_graph(6, 1.0, seed=0)
-        result = estimate_mode_leakage(Mode.DFL, samples, graph=graph)
-        assert len(result.pairs) == 6 * 5
+        assert len(mode_pairs(Mode.DFL, samples, graph=graph)) == 6 * 5
 
     @pytest.mark.parametrize("k", [16, 32, 40])
     def test_dfl_candidates_grow_with_k(self, k):
@@ -267,14 +280,12 @@ class TestEstimateModeLeakage:
         n = 6
         graph = Graph(n=n, edges=((0, 1), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5)))
         data = draw_gradient_samples(n, 400, seed=k).data
-        result = estimate_mode_leakage(
-            Mode.DFL, SampleMatrix(data), graph=graph, k_nn=k, corrupt_nodes=[1, 3]
-        )
-        for corrupt, i, value in result.pairs:
-            nbrs = graph.neighbors(corrupt)
-            observed = data[:, i] if i in nbrs else data[:, nbrs]
-            assert value == knn_mi(observed, data[:, i], k=k).value, (corrupt, i)
         est = leakage._CellEstimator(data, k)
+        for corrupt in (1, 3):
+            nbrs = graph.neighbors(corrupt)
+            for _, i, value in leakage._corrupt_pairs(est, Mode.DFL, corrupt, graph, None):
+                observed = data[:, i] if i in nbrs else data[:, nbrs]
+                assert value == knn_mi(observed, data[:, i], k=k).value, (corrupt, i)
         nearest, _, _ = est._observe_matrix(data[:, graph.neighbors(1)])
         assert nearest.shape == (400, max(32, 4 * k))
 
@@ -287,7 +298,7 @@ class TestEstimateModeLeakage:
         samples = draw_gradient_samples(n, n_samples, seed=3)
         tracemalloc.start()
         try:
-            estimate_mode_leakage(Mode.DFL, samples, graph=ring, weights=metropolis_weights(ring))
+            mode_pairs(Mode.DFL, samples, graph=ring, weights=metropolis_weights(ring))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -332,9 +343,9 @@ class TestEstimateModeLeakage:
         path = Graph(n=n, edges=tuple((j, j + 1) for j in range(n - 1)))
         weights = metropolis_weights(path)
         for mode in (Mode.CFL_SA, Mode.DFL_SA):
-            result = estimate_mode_leakage(mode, samples, graph=path, weights=weights)
-            assert len(result.pairs) == n * (n - 1)
-            for k, i, value in result.pairs:
+            pairs = mode_pairs(mode, samples, graph=path, weights=weights)
+            assert len(pairs) == n * (n - 1)
+            for k, i, value in pairs:
                 if mode is Mode.CFL_SA:
                     observed = data.sum(axis=1) - data[:, k]
                 else:
@@ -342,21 +353,20 @@ class TestEstimateModeLeakage:
                     observed = data @ row - row[k] * data[:, k]
                 assert value == knn_mi(observed, data[:, i]).value, (mode, k, i)
         # node 4 sees node 3 alone; nodes 1 and 3 see node 2
-        result = estimate_mode_leakage(Mode.DFL, samples, graph=path, corrupt_nodes=[4])
-        assert [value for _, i, value in result.pairs if i == 2] == [
-            knn_mi(data[:, 3], data[:, 2]).value
-        ]
+        est = leakage._CellEstimator(data, 3)
+        pairs = leakage._corrupt_pairs(est, Mode.DFL, 4, path, None)
+        assert [value for _, i, value in pairs if i == 2] == [knn_mi(data[:, 3], data[:, 2]).value]
         message = "^degenerate data: all joint samples are identical$"
         with pytest.raises(ValueError, match=message):
-            estimate_mode_leakage(Mode.CFL, samples)
+            mode_pairs(Mode.CFL, samples)
         with pytest.raises(ValueError, match=message):
-            estimate_mode_leakage(Mode.DFL, samples, graph=path, corrupt_nodes=[1])
+            leakage._corrupt_pairs(est, Mode.DFL, 1, path, None)
 
     def test_dfl_corrupt_node_without_neighbors_rejected(self):
-        samples = draw_gradient_samples(4, 200, seed=0)
+        est = leakage._CellEstimator(draw_gradient_samples(4, 200, seed=0).data, 3)
         graph = Graph(n=4, edges=((0, 1), (1, 2)))  # node 3 is isolated
         with pytest.raises(ValueError, match="node 3 has no neighbors"):
-            estimate_mode_leakage(Mode.DFL, samples, graph=graph)
+            leakage._corrupt_pairs(est, Mode.DFL, 3, graph, None)
 
     @pytest.mark.parametrize("mode", ALL_MODES, ids=lambda m: m.value)
     @pytest.mark.parametrize(
@@ -370,31 +380,23 @@ class TestEstimateModeLeakage:
         samples = draw_gradient_samples(5, n_samples, seed=1)
         graph = Graph(n=5, edges=tuple((j, (j + 1) % 5) for j in range(5)))
         with pytest.raises(ValueError, match=f"^{message}$"):
-            estimate_mode_leakage(
-                mode, samples, graph=graph, weights=metropolis_weights(graph), k_nn=k_nn
-            )
-
-    def test_corrupt_subsample_restricts_enumeration(self, small_cell):
-        n, samples, graph, weights = small_cell
-        result = estimate_mode_leakage(
-            Mode.CFL_SA, samples, corrupt_nodes=[1, 4]
-        )
-        assert {p[0] for p in result.pairs} == {1, 4}
-        assert len(result.pairs) == 2 * (n - 1)
+            mode_pairs(mode, samples, graph=graph, weights=metropolis_weights(graph), k_nn=k_nn)
 
     @pytest.mark.parametrize("corrupt", [-1, 8])
     def test_out_of_range_corrupt_node_rejected(self, small_cell, corrupt):
         # -1 would otherwise index node n-1 and score it as its own target.
         _, samples, _, _ = small_cell
+        est = leakage._CellEstimator(samples.data, 3)
         with pytest.raises(ValueError, match=f"corrupt node {corrupt} out of range for n=8"):
-            estimate_mode_leakage(Mode.CFL_SA, samples, corrupt_nodes=[corrupt])
+            leakage._corrupt_pairs(est, Mode.CFL_SA, corrupt, None, None)
 
     def test_missing_topology_rejected(self, small_cell):
         _, samples, graph, _ = small_cell
+        est = leakage._CellEstimator(samples.data, 3)
         with pytest.raises(ValueError, match="requires a graph"):
-            estimate_mode_leakage(Mode.DFL, samples)
+            leakage._corrupt_pairs(est, Mode.DFL, 0, None, None)
         with pytest.raises(ValueError, match="weight matrix"):
-            estimate_mode_leakage(Mode.DFL_SA, samples, graph=graph)
+            leakage._corrupt_pairs(est, Mode.DFL_SA, 0, graph, None)
 
     @pytest.mark.slow
     def test_sa_averages_match_closed_forms_at_ten_thousand_samples(self):
@@ -402,9 +404,9 @@ class TestEstimateModeLeakage:
         graph = generate_graph(n, 0.5, seed=1)
         weights = metropolis_weights(graph)
         samples = draw_gradient_samples(n, 10_000, seed=17)
-        cfl_sa = estimate_mode_leakage(Mode.CFL_SA, samples)
-        assert cfl_sa.average == pytest.approx(cfl_sa_closed_form(n), abs=0.02)
-        dfl_sa = estimate_mode_leakage(Mode.DFL_SA, samples, graph=graph, weights=weights)
+        cfl_sa = mode_pairs(Mode.CFL_SA, samples)
+        assert average(cfl_sa) == pytest.approx(cfl_sa_closed_form(n), abs=0.02)
+        dfl_sa = mode_pairs(Mode.DFL_SA, samples, graph=graph, weights=weights)
         expected = np.mean(
             [
                 dfl_sa_closed_form(weights, k, i)
@@ -413,7 +415,7 @@ class TestEstimateModeLeakage:
                 if i != k
             ]
         )
-        assert dfl_sa.average == pytest.approx(expected, abs=0.02)
+        assert average(dfl_sa) == pytest.approx(expected, abs=0.02)
 
 
 class TestRunExperiment:
@@ -436,6 +438,11 @@ class TestRunExperiment:
     def test_relative_values_bounded(self, small_report):
         for row in small_report.summary:
             assert -0.05 <= row.relative <= 1.05
+
+    def test_pair_relative_is_over_the_cfl_cell_average(self, small_report):
+        for pair in small_report.pairs:
+            cfl = small_report.cell(Mode.CFL, pair.n, pair.density).leakage_nats
+            assert pair.relative == pair.mi_nats / cfl
 
     def test_graph_and_closed_form_come_from_cell_topology(self, small_report):
         graph, _ = cell_topology(9, 6, 0.6)
@@ -466,6 +473,8 @@ class TestRunExperiment:
         report = run_experiment(config)
         assert {row.mode for row in report.summary} == {Mode.CFL_SA}
         assert math.isnan(report.cell(Mode.CFL_SA, 5, 0.9).relative)
+        assert len(report.pairs) == 20
+        assert all(math.isnan(pair.relative) for pair in report.pairs)
 
     def test_cell_seeds_are_coordinate_keyed(self):
         a = cell_seed_sequences(3, 10, 0.5)
@@ -475,8 +484,8 @@ class TestRunExperiment:
 
 
 def serial_report(config):
-    """run_experiment's report built from one estimate_mode_leakage call
-    per (cell, mode), in one process."""
+    """run_experiment's report built from one mode_pairs call per (cell,
+    mode), in one process."""
     pairs, summary = [], []
     for n in config.n_values:
         for density in config.densities:
@@ -484,22 +493,21 @@ def serial_report(config):
             samples = draw_gradient_samples(n, config.samples, sample_ss)
             graph, weights = cell_topology(config.seed, n, density)
             results = {
-                mode: estimate_mode_leakage(mode, samples, graph, weights, k_nn=config.k_nn)
+                mode: mode_pairs(mode, samples, graph, weights, k_nn=config.k_nn)
                 for mode in config.modes
             }
-            cfl = results[Mode.CFL].average
+            cfl = average(results[Mode.CFL])
             for mode, result in results.items():
                 closed, analytic = leakage._closed_forms(mode, n, graph, weights)
                 pairs += [
-                    PairLeakage(mode, n, density, k, i, value, closed.get((k, i), math.nan))
-                    for k, i, value in result.pairs
+                    PairLeakage(
+                        mode, n, density, k, i, value, closed.get((k, i), math.nan), value / cfl
+                    )
+                    for k, i, value in result
                 ]
                 actual = graph.density if mode.decentralized else math.nan
-                summary.append(
-                    CellSummary(
-                        mode, n, density, actual, result.average, analytic, result.average / cfl
-                    )
-                )
+                mean = average(result)
+                summary.append(CellSummary(mode, n, density, actual, mean, analytic, mean / cfl))
     return pairs, summary
 
 
@@ -545,6 +553,21 @@ class TestWorkerPool:
 
         monkeypatch.setattr(leakage, "_corrupt_pairs", failing)
         with pytest.raises(ValueError, match="^no estimate for dfl$"):
+            run_experiment(self.CONFIG)
+        assert multiprocessing.active_children() == []
+
+    def test_lost_worker_fails_the_sweep(self, monkeypatch):
+        # The pool replaces a worker that exits mid-task but never ends
+        # its task, so without a check the sweep waits forever.
+        real = leakage._corrupt_pairs
+
+        def exiting(est, mode, k, *args):
+            if mode is Mode.DFL and k == 2:
+                os._exit(7)
+            return real(est, mode, k, *args)
+
+        monkeypatch.setattr(leakage, "_corrupt_pairs", exiting)
+        with pytest.raises(RuntimeError, match=r"^sweep worker \d+ exited with code 7 "):
             run_experiment(self.CONFIG)
         assert multiprocessing.active_children() == []
 
