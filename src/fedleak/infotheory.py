@@ -25,9 +25,9 @@ points go in sorted order, and one call counts a whole (T, N) stack of
 radii, so the estimates that share a one-column marginal count it
 together. Every estimate, however its counts were found, is the one
 formula _ksg. Every kd-tree query runs on the calling thread (scipy's
-default, workers=1): a sweep spreads its estimates over CPUs one
-(cell, mode, corrupt node) task at a time per worker process
-(leakage.run_experiment), and splitting each small query over threads
+default, workers=1): a sweep spreads its estimates over forked worker
+processes, one task (a cell, a mode and the corrupt nodes that share
+one view) at a time (leakage.run_experiment), and splitting each small query over threads
 too cost more in thread starts and lock waits than it saved.
 
 A sweep cell's estimates come from one _CellEstimator, equal to knn_mi

@@ -38,22 +38,26 @@ values are finite; for CFL and DFL they are +inf on every shown target.
 A sweep (run_experiment) is a grid of independent cells. The parent
 draws every cell's inputs and builds the cell's estimator, which is
 never changed afterwards, then forks one worker per usable CPU, which
-inherits them. Each pool task is one (cell, mode, corrupt node): the
-pairs of one corrupt node, or of a CFL cell, which a worker only looks
-up and scores. The parent assembles the report in sweep order, so the
-report does not depend on the number of workers.
+inherits them. Each task is one (cell, mode, corrupt node): the pairs
+of one corrupt node, or of a CFL cell, which a worker only looks up and
+scores; DFL corrupt nodes with equal neighbour sets observe the same
+columns and share one task. Workers take task indices from one pipe
+and send their pairs back on their own, and the parent assembles the
+report in sweep order, so the report does not depend on the number of
+workers.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
+import pickle
+import select
 import signal
+import struct
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -188,17 +192,48 @@ def draw_gradient_samples(n: int, samples: int, seed) -> SampleMatrix:
 
 
 def _corrupt_pairs(
-    est: _CellEstimator, mode: Mode, k: int, graph: Graph | None, weights: WeightMatrix | None
+    est: _CellEstimator,
+    mode: Mode,
+    corrupt: tuple[int, ...],
+    graph: Graph | None,
+    weights: WeightMatrix | None,
 ) -> list[tuple[int, int, float]]:
-    """(k, target, nats) of every target i != k, in target order, for the
-    corrupt node k of est's cell (-1 for CFL, which involves none):
-    extract_observation's view of the sample columns, scored by est."""
+    """(k, target, nats) of every target i != k, in target order, for
+    each corrupt node k of est's cell in corrupt, in that order (-1
+    alone for CFL, which involves none): extract_observation's view of
+    the sample columns, scored by est. The nodes in corrupt must share
+    one view, as DFL nodes with equal neighbour sets do: the first one's
+    serves them all, and one est.mi call scores the union of their
+    hidden targets."""
     data = est.data
-    observed, visible = extract_observation(mode, k, data, graph, weights)
-    targets = [i for i in range(data.shape[1]) if i != k]
-    hidden = [i for i in targets if i not in visible]
+    n = data.shape[1]
+    observed, visible = extract_observation(mode, corrupt[0], data, graph, weights)
+    hidden = sorted({i for k in corrupt for i in range(n) if i != k and i not in visible})
     scored = dict(zip(hidden, est.mi(observed, hidden)))
-    return [(k, i, est.self_mi(i) if i in visible else scored[i]) for i in targets]
+    return [
+        (k, i, est.self_mi(i) if i in visible else scored[i])
+        for k in corrupt
+        for i in range(n)
+        if i != k
+    ]
+
+
+def _shared_views(mode: Mode, n: int, graph: Graph | None) -> list[tuple[int, ...]]:
+    """The corrupt nodes of one mode's tasks on a cell, a tuple per task,
+    in order of each tuple's first node: -1 alone for CFL, which involves
+    none; for DFL, the nodes with equal neighbour sets together, since
+    they observe the same columns; otherwise each node alone. (The
+    secure-aggregation views differ per corrupt node, and equal DFL_SA
+    views would still differ in the last bits of extract_observation's
+    arithmetic.)"""
+    if mode is Mode.CFL:
+        return [(-1,)]
+    if mode is not Mode.DFL:
+        return [(k,) for k in range(n)]
+    shared: dict[tuple[int, ...], list[int]] = {}
+    for k in range(n):
+        shared.setdefault(tuple(graph.neighbors(k).tolist()), []).append(k)
+    return [tuple(nodes) for nodes in shared.values()]
 
 
 def _closed_forms(
@@ -262,86 +297,156 @@ def analytic_cell_average(
     return average, actual_density
 
 
-# A pool worker's inputs, set by _init_worker in the forked worker only:
-# the (estimator, graph, weights) of every cell.
-_worker_cells: Sequence[tuple[_CellEstimator, Graph | None, WeightMatrix | None]] = ()
-
-
-def _estimate_unit(task: tuple[int, Mode, int]) -> list[tuple[int, int, float]]:
-    """The pairs of one (cell index, mode, corrupt node), run in a pool
-    worker on the cell's estimator, graph and weights, which the parent
-    built before the fork and the worker inherited. The estimator is
-    never changed, so any worker may serve any cell's tasks in any order.
-    The pool pickles this function by name; the worker looks
-    _corrupt_pairs up when it runs, so a wrapper put in its place (a
-    tracer's, a test's), which could not be pickled, still runs."""
-    cell, mode, k = task
-    est, graph, weights = _worker_cells[cell]
-    return _corrupt_pairs(est, mode, k, graph, weights)
-
-
-def _init_worker(cells) -> None:
-    global _worker_cells
-    _worker_cells = cells
-    # The pool ends its workers with SIGTERM, so a worker takes its
-    # default action, not the parent's handler. Ctrl-C reaches the whole
-    # process group; only the parent acts on it.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-
-
 class _Terminated(BaseException):
-    """A SIGTERM that arrived while the pool ran."""
+    """A SIGTERM that arrived while the sweep's workers ran."""
 
 
 def _raise_terminated(signum, frame):
     raise _Terminated
 
 
-_WORKER_CHECK_S = 0.1
+# Held back while workers are forked, until each has set its own
+# handling, and while they are ended, so that no handler interrupts it.
+_HELD = {signal.SIGINT, signal.SIGTERM}
+_LENGTH = struct.Struct("<Q")  # a reply frame's payload length
+_INDEX = 4  # bytes of one task index on the task pipe, little-endian
 
 
-def _group_result(group, workers):
-    """group.get(), checking every _WORKER_CHECK_S that each of workers
-    still runs. A pool replaces a worker that exits, but never finishes
-    or fails the task that worker held, so its group would never be
-    ready: a worker that is gone raises RuntimeError instead."""
-    group.wait(_WORKER_CHECK_S)
-    while not group.ready():
-        alive = multiprocessing.active_children()
-        for worker in workers:
-            if worker not in alive:
-                raise RuntimeError(
-                    f"sweep worker {worker.pid} exited with code {worker.exitcode} "
-                    "before the sweep finished"
-                )
-        group.wait(_WORKER_CHECK_S)
-    return group.get()
+def _read_exact(fd: int, size: int) -> bytes | None:
+    """size bytes from fd, or None if the pipe ends before them."""
+    data = b""
+    while len(data) < size:
+        chunk = os.read(fd, size - len(data))
+        if not chunk:
+            return None
+        data += chunk
+    return data
+
+
+def _send(fd: int, payload: bytes) -> None:
+    """One reply frame: the payload's length, then the payload."""
+    frame = memoryview(_LENGTH.pack(len(payload)) + payload)
+    while frame:
+        frame = frame[os.write(fd, frame) :]
+
+
+def _error_payload(index: int, exc: Exception) -> bytes:
+    """A failed task's reply. An exception that cannot make the trip to
+    the parent, pickled and read back, becomes a RuntimeError naming it."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        exc = RuntimeError(f"a sweep task raised {exc!r}, which cannot be sent from its worker")
+    return pickle.dumps((index, exc))
+
+
+def _serve(tasks_fd: int, results_fd: int, unused_fds, tasks, cells, mask) -> None:
+    """A forked worker's life; it never returns. It takes SIGTERM's
+    default action and ignores Ctrl-C, which reaches the whole process
+    group and which the parent acts on. It then takes one task index at
+    a time from tasks_fd, shared by every worker, until the parent has
+    closed it, and replies on results_fd, its own, with (index, pairs)
+    or (index, exception), and at the end with None. _corrupt_pairs is
+    looked up when a task runs, so a wrapper put in its place (a
+    tracer's, a test's) runs too."""
+    code = 1
+    try:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        for fd in unused_fds:
+            os.close(fd)
+        while raw := _read_exact(tasks_fd, _INDEX):
+            index = int.from_bytes(raw, "little")
+            cell, mode, corrupt = tasks[index]
+            est, graph, weights = cells[cell]
+            try:
+                payload = pickle.dumps((index, _corrupt_pairs(est, mode, corrupt, graph, weights)))
+            except Exception as exc:
+                payload = _error_payload(index, exc)
+            _send(results_fd, payload)
+        _send(results_fd, pickle.dumps(None))
+        code = 0
+    finally:
+        os._exit(code)
 
 
 @contextmanager
-def _pool_results(tasks: list[list[tuple[int, Mode, int]]], cells):
-    """tasks is a list of task groups. Yield an iterator that gives, for
-    each group in order, [_estimate_unit(task) for task in group].
+def _fork_results(groups: list[list[tuple[int, Mode, tuple[int, ...]]]], cells):
+    """groups is a list of task groups, each task a (cell index, mode,
+    corrupt nodes) for _corrupt_pairs. Yield an iterator that gives, for
+    each group in order, the list of its tasks' pairs.
 
-    The tasks run on forked workers, one per usable CPU but no more than
-    there are tasks, handed out one at a time, so the workers finish at
-    most about one task apart. The parent waits for each group as a
-    whole: waking for every task's result cost it about 0.3 ms of CPU a
-    task, on 2 CPUs.
-    Each worker inherits cells, the (estimator, graph, weights) of every
-    cell, at fork, through the pool's initializer arguments, which a
-    forked worker receives without pickling; a task is then three small
-    values. Forked workers also start with numpy and scipy loaded and
-    with the parent's binding of _corrupt_pairs; spawned ones would
-    import both again. Every worker is ended when the block exits:
-    after the last result, when a task raises (its exception reaches
-    the caller), when a worker exits (_group_result raises
-    RuntimeError), or on SIGTERM, which then ends the workers and the
-    parent, by SIGTERM's default action. A process that handles or
-    ignores SIGTERM itself, or a thread other than the main one (which
-    cannot set a handler), keeps its own handling."""
-    workers = min(len(os.sched_getaffinity(0)), sum(map(len, tasks)))
+    The main thread forks one worker per usable CPU, but no more than
+    there are tasks, and never forks again. Each worker inherits the
+    tasks and cells, the (estimator, graph, weights) of every cell, so
+    only task indices and replies cross a pipe; it also starts with
+    numpy and scipy loaded and with the parent's binding of
+    _corrupt_pairs. Every task index is written up front to one pipe,
+    from which a worker takes the next whenever it is free, so the
+    workers finish at most about one task apart; indices a full pipe
+    cannot hold go in as the workers drain it. The parent waits on the
+    workers' reply pipes with select. A task's exception reaches the
+    caller, and a worker whose pipe ends before it has reported the task
+    pipe empty raises RuntimeError naming it and its exit code. Every
+    worker is killed and reaped when the block exits: after the last
+    result, on an error, or on SIGTERM, which then ends the parent too,
+    by SIGTERM's default action. A process that handles or ignores
+    SIGTERM itself, or a thread other than the main one (which cannot
+    set a handler), keeps its own handling."""
+    tasks = [task for group in groups for task in group]
+    results: list = [None] * len(tasks)
+    left = [len(group) for group in groups]  # replies each group awaits
+    group_of = [g for g, group in enumerate(groups) for _ in group]
+    owners: dict[int, int] = {}  # reply pipe -> pid of its worker, until reaped
+    fds: set[int] = set()  # the parent's open pipe ends
+    unsent = memoryview(np.arange(len(tasks), dtype="<u4").tobytes())
+
+    def feed() -> None:
+        # A write of at most PIPE_BUF bytes goes in whole or not at all,
+        # so no worker reads part of an index.
+        nonlocal unsent
+        while unsent:
+            try:
+                os.write(task_w, unsent[: select.PIPE_BUF])
+            except BlockingIOError:
+                return
+            unsent = unsent[select.PIPE_BUF :]
+        os.close(task_w)
+        fds.discard(task_w)
+
+    def wait() -> None:
+        readable, writable, _ = select.select(reading, [task_w] if unsent else [], [])
+        if writable:
+            feed()
+        for fd in readable:
+            size = _read_exact(fd, _LENGTH.size)
+            payload = size and _read_exact(fd, _LENGTH.unpack(size)[0])
+            if payload is None:
+                pid = owners.pop(fd)
+                _, status = os.waitpid(pid, 0)
+                raise RuntimeError(
+                    f"sweep worker {pid} exited with code "
+                    f"{os.waitstatus_to_exitcode(status)} before the sweep finished"
+                )
+            reply = pickle.loads(payload)
+            if reply is None:
+                reading.remove(fd)
+                continue
+            index, value = reply
+            if isinstance(value, BaseException):
+                raise value
+            results[index] = value
+            left[group_of[index]] -= 1
+
+    def collect():
+        end = 0
+        for g in range(len(groups)):
+            while left[g]:
+                wait()
+            start, end = end, end + len(groups[g])
+            yield results[start:end]
+
     catch = (
         threading.current_thread() is threading.main_thread()
         and signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
@@ -349,12 +454,37 @@ def _pool_results(tasks: list[list[tuple[int, Mode, int]]], cells):
     if catch:
         signal.signal(signal.SIGTERM, _raise_terminated)
     try:
-        fork = multiprocessing.get_context("fork")
-        before = set(multiprocessing.active_children())
-        with fork.Pool(workers, _init_worker, (cells,)) as pool:
-            started = set(multiprocessing.active_children()) - before
-            groups = [pool.map_async(_estimate_unit, group, chunksize=1) for group in tasks]
-            yield (_group_result(group, started) for group in groups)
+        try:
+            task_r, task_w = os.pipe()
+            fds.update((task_r, task_w))
+            os.set_blocking(task_w, False)
+            feed()
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, _HELD)
+            try:
+                for _ in range(min(len(os.sched_getaffinity(0)), len(tasks))):
+                    results_r, results_w = os.pipe()
+                    fds.update((results_r, results_w))
+                    pid = os.fork()
+                    if pid == 0:
+                        _serve(task_r, results_w, fds - {task_r, results_w}, tasks, cells, mask)
+                    owners[results_r] = pid
+                    os.close(results_w)
+                    fds.remove(results_w)
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            reading = list(owners)
+            yield collect()
+        finally:
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, _HELD)
+            try:
+                for pid in owners.values():
+                    os.kill(pid, signal.SIGKILL)
+                for pid in owners.values():
+                    os.waitpid(pid, 0)
+                for fd in fds:
+                    os.close(fd)
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
     except _Terminated:
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
         signal.raise_signal(signal.SIGTERM)
@@ -370,11 +500,12 @@ def run_experiment(config: ExperimentConfig, progress=None) -> LeakageReport:
     Each cell derives its own RNG streams from (seed, n, density), so
     cells are independent of sweep order and may be recomputed in
     isolation. The parent draws every cell's samples, graph and weights
-    in sweep order and builds the cell's estimator on its samples. A
-    pool of forked worker processes (_pool_results), which inherit them,
-    then scores each (cell, mode, corrupt node) as one task, and the
-    parent joins each (cell, mode)'s pairs in task order, which is
-    corrupt order, and averages them. Every pair and every cell average
+    in sweep order and builds the cell's estimator on its samples.
+    Forked worker processes (_fork_results), which inherit them, then
+    score each (cell, mode, corrupt node) as one task, except that DFL
+    corrupt nodes with equal neighbour sets share one (_shared_views).
+    The parent joins each (cell, mode)'s pairs in corrupt, then target
+    order and averages them. Every pair and every cell average
     is divided by the cell's CFL average for its relative leakage. The
     report is assembled in sweep order, and no result depends on the
     number of workers. progress, when given, is called as progress(done,
@@ -383,7 +514,7 @@ def run_experiment(config: ExperimentConfig, progress=None) -> LeakageReport:
     needs_graph = any(m.decentralized for m in config.modes)
     cells = []  # (n, density, graph, weights, actual density) in sweep order
     inputs = []  # (estimator, graph, weights) of each cell, for the workers
-    tasks = []  # per cell, its (cell index, mode, corrupt node) in sweep order
+    tasks = []  # per cell, its (cell index, mode, corrupt nodes) in sweep order
     for n in config.n_values:
         for density in config.densities:
             sample_ss, _, _ = cell_seed_sequences(config.seed, n, density)
@@ -396,20 +527,22 @@ def run_experiment(config: ExperimentConfig, progress=None) -> LeakageReport:
                 report.graphs[(n, density)] = graph
             tasks.append(
                 [
-                    (len(cells), mode, k)
+                    (len(cells), mode, corrupt)
                     for mode in config.modes
-                    for k in ((-1,) if mode is Mode.CFL else range(n))
+                    for corrupt in _shared_views(mode, n, graph)
                 ]
             )
             cells.append((n, density, graph, w, actual_density))
             inputs.append((_CellEstimator(samples.data, config.k_nn), graph, w))
 
-    with _pool_results(tasks, inputs) as cell_results:
+    with _fork_results(tasks, inputs) as cell_results:
         for done, (cell, group, task_results) in enumerate(zip(cells, tasks, cell_results), 1):
             n, density, graph, w, actual_density = cell
             mode_pairs: dict[Mode, list[tuple[int, int, float]]] = {}
             for (_, mode, _), pairs in zip(group, task_results):
                 mode_pairs.setdefault(mode, []).extend(pairs)
+            for pairs in mode_pairs.values():
+                pairs.sort(key=lambda pair: pair[0])  # stable: targets stay in order
             averages = {
                 mode: float(np.mean([p[2] for p in pairs])) for mode, pairs in mode_pairs.items()
             }

@@ -7,7 +7,7 @@ import pytest
 # pytest's capture file, which is lost when the process exits.
 _STDERR = pytest.StashKey[int]()
 
-# Seconds a pool test may take before the run ends; they take 1 to 10.
+# Seconds a worker test may take before the run ends; they take 1 to 10.
 STALL_SECONDS = 120
 
 
@@ -22,7 +22,7 @@ def pytest_unconfigure(config):
 @pytest.fixture
 def stall_guard(request):
     """End the run with every thread's traceback on stderr if the test
-    stalls, instead of hanging: tests that run a worker pool or a child
+    stalls, instead of hanging: tests that run sweep workers or a child
     process could otherwise wait forever on a lost worker."""
     faulthandler.dump_traceback_later(
         STALL_SECONDS, exit=True, file=request.config.stash[_STDERR]

@@ -1,7 +1,6 @@
+import fcntl
 import math
-import multiprocessing
 import os
-import pickle
 import tracemalloc
 
 import numpy as np
@@ -75,11 +74,13 @@ class TestDrawGradientSamples:
 
 def mode_pairs(mode, samples, graph=None, weights=None, k_nn=3):
     """(k, i, nats) of every pair of one mode on one cell, in one
-    process: the pool's task, _corrupt_pairs, for each corrupt node in
-    run_experiment's order (-1 alone for CFL, which involves none)."""
+    process: the sweep's task, _corrupt_pairs, for each corrupt node
+    alone, in corrupt order (-1 alone for CFL, which involves none)."""
     est = leakage._CellEstimator(samples.data, k_nn)
     corrupt = (-1,) if mode is Mode.CFL else range(samples.n_variables)
-    return [pair for k in corrupt for pair in leakage._corrupt_pairs(est, mode, k, graph, weights)]
+    return [
+        pair for k in corrupt for pair in leakage._corrupt_pairs(est, mode, (k,), graph, weights)
+    ]
 
 
 def average(pairs):
@@ -240,7 +241,7 @@ class TestEstimateModeLeakage:
         gaussian = draw_gradient_samples(24, 300, seed=12)
         for samples in (gaussian, rounded(gaussian)):
             est = leakage._CellEstimator(samples.data, 3)
-            pairs = leakage._corrupt_pairs(est, Mode.DFL, 0, wide, None)
+            pairs = leakage._corrupt_pairs(est, Mode.DFL, (0,), wide, None)
             check(samples, wide, Mode.DFL, pairs)
             assert [i for _, i, _ in pairs if i > 20] == [21, 22, 23]
 
@@ -283,7 +284,7 @@ class TestEstimateModeLeakage:
         est = leakage._CellEstimator(data, k)
         for corrupt in (1, 3):
             nbrs = graph.neighbors(corrupt)
-            for _, i, value in leakage._corrupt_pairs(est, Mode.DFL, corrupt, graph, None):
+            for _, i, value in leakage._corrupt_pairs(est, Mode.DFL, (corrupt,), graph, None):
                 observed = data[:, i] if i in nbrs else data[:, nbrs]
                 assert value == knn_mi(observed, data[:, i], k=k).value, (corrupt, i)
         nearest, _, _ = est._observe_matrix(data[:, graph.neighbors(1)])
@@ -354,19 +355,19 @@ class TestEstimateModeLeakage:
                 assert value == knn_mi(observed, data[:, i]).value, (mode, k, i)
         # node 4 sees node 3 alone; nodes 1 and 3 see node 2
         est = leakage._CellEstimator(data, 3)
-        pairs = leakage._corrupt_pairs(est, Mode.DFL, 4, path, None)
+        pairs = leakage._corrupt_pairs(est, Mode.DFL, (4,), path, None)
         assert [value for _, i, value in pairs if i == 2] == [knn_mi(data[:, 3], data[:, 2]).value]
         message = "^degenerate data: all joint samples are identical$"
         with pytest.raises(ValueError, match=message):
             mode_pairs(Mode.CFL, samples)
         with pytest.raises(ValueError, match=message):
-            leakage._corrupt_pairs(est, Mode.DFL, 1, path, None)
+            leakage._corrupt_pairs(est, Mode.DFL, (1,), path, None)
 
     def test_dfl_corrupt_node_without_neighbors_rejected(self):
         est = leakage._CellEstimator(draw_gradient_samples(4, 200, seed=0).data, 3)
         graph = Graph(n=4, edges=((0, 1), (1, 2)))  # node 3 is isolated
         with pytest.raises(ValueError, match="node 3 has no neighbors"):
-            leakage._corrupt_pairs(est, Mode.DFL, 3, graph, None)
+            leakage._corrupt_pairs(est, Mode.DFL, (3,), graph, None)
 
     @pytest.mark.parametrize("mode", ALL_MODES, ids=lambda m: m.value)
     @pytest.mark.parametrize(
@@ -388,15 +389,15 @@ class TestEstimateModeLeakage:
         _, samples, _, _ = small_cell
         est = leakage._CellEstimator(samples.data, 3)
         with pytest.raises(ValueError, match=f"corrupt node {corrupt} out of range for n=8"):
-            leakage._corrupt_pairs(est, Mode.CFL_SA, corrupt, None, None)
+            leakage._corrupt_pairs(est, Mode.CFL_SA, (corrupt,), None, None)
 
     def test_missing_topology_rejected(self, small_cell):
         _, samples, graph, _ = small_cell
         est = leakage._CellEstimator(samples.data, 3)
         with pytest.raises(ValueError, match="requires a graph"):
-            leakage._corrupt_pairs(est, Mode.DFL, 0, None, None)
+            leakage._corrupt_pairs(est, Mode.DFL, (0,), None, None)
         with pytest.raises(ValueError, match="weight matrix"):
-            leakage._corrupt_pairs(est, Mode.DFL_SA, 0, graph, None)
+            leakage._corrupt_pairs(est, Mode.DFL_SA, (0,), graph, None)
 
     @pytest.mark.slow
     def test_sa_averages_match_closed_forms_at_ten_thousand_samples(self):
@@ -511,6 +512,30 @@ def serial_report(config):
     return pairs, summary
 
 
+def assert_no_child():
+    # every child of this process, os.fork ones included
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children this process forks, with os.sched_getaffinity
+    reporting two usable CPUs."""
+    pids = []
+    real = os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    return pids
+
+
 @pytest.mark.usefixtures("stall_guard")
 class TestWorkerPool:
     CONFIG = ExperimentConfig(n_values=(6,), densities=(0.6, 1.0), samples=300, seed=4)
@@ -520,30 +545,23 @@ class TestWorkerPool:
         # repr writes every float exactly, NaN included
         return repr(report.pairs), repr(report.summary), report.graphs
 
-    def test_report_does_not_depend_on_worker_count(self, monkeypatch):
-        sizes = []
-        fork = multiprocessing.get_context("fork")
-        real_pool = fork.Pool
-
-        def pool(processes, *args, **kwargs):
-            sizes.append(processes)
-            return real_pool(processes, *args, **kwargs)
-
-        monkeypatch.setattr(fork, "Pool", pool)
-        reports = []
+    def test_report_does_not_depend_on_worker_count(self, monkeypatch, forks):
+        reports, sizes = [], []
         for cpus in ({0}, {0, 1}):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            before = len(forks)
             reports.append(run_experiment(self.CONFIG))
+            sizes.append(len(forks) - before)
         assert sizes == [1, 2]
         assert len(reports[0].summary) == 8
         assert self.exact(reports[0]) == self.exact(reports[1])
 
     def test_no_worker_outlives_the_sweep(self):
         run_experiment(self.CONFIG)
-        assert multiprocessing.active_children() == []
+        assert_no_child()
 
     def test_unit_error_reaches_the_caller(self, monkeypatch):
-        # _corrupt_pairs is the function each pool task runs
+        # _corrupt_pairs is the function each task runs
         real = leakage._corrupt_pairs
 
         def failing(est, mode, *args):
@@ -554,22 +572,42 @@ class TestWorkerPool:
         monkeypatch.setattr(leakage, "_corrupt_pairs", failing)
         with pytest.raises(ValueError, match="^no estimate for dfl$"):
             run_experiment(self.CONFIG)
-        assert multiprocessing.active_children() == []
+        assert_no_child()
 
-    def test_lost_worker_fails_the_sweep(self, monkeypatch):
-        # The pool replaces a worker that exits mid-task but never ends
-        # its task, so without a check the sweep waits forever.
+    def test_unpicklable_error_reaches_the_caller(self, monkeypatch):
+        # An exception the worker cannot pickle still fails the sweep by
+        # name, not as a hang or a lost worker.
         real = leakage._corrupt_pairs
 
-        def exiting(est, mode, k, *args):
-            if mode is Mode.DFL and k == 2:
+        def failing(est, mode, *args):
+            if mode is Mode.DFL:
+                exc = ValueError("no estimate for dfl")
+                exc.hook = lambda: None
+                raise exc
+            return real(est, mode, *args)
+
+        monkeypatch.setattr(leakage, "_corrupt_pairs", failing)
+        with pytest.raises(RuntimeError, match=r"ValueError\('no estimate for dfl'\)") as info:
+            run_experiment(self.CONFIG)
+        assert "sweep worker" not in str(info.value)
+        assert_no_child()
+
+    def test_lost_worker_fails_the_sweep(self, monkeypatch, forks):
+        # A lost worker is neither waited for nor replaced: the sweep
+        # fails, no process is forked after the workers, and none is left.
+        real = leakage._corrupt_pairs
+
+        def exiting(est, mode, corrupt, *args):
+            if mode is Mode.DFL and 2 in corrupt:
                 os._exit(7)
-            return real(est, mode, k, *args)
+            return real(est, mode, corrupt, *args)
 
         monkeypatch.setattr(leakage, "_corrupt_pairs", exiting)
-        with pytest.raises(RuntimeError, match=r"^sweep worker \d+ exited with code 7 "):
+        with pytest.raises(RuntimeError, match=r"^sweep worker (\d+) exited with code 7 ") as info:
             run_experiment(self.CONFIG)
-        assert multiprocessing.active_children() == []
+        assert len(forks) == 2
+        assert int(info.value.args[0].split()[2]) in forks
+        assert_no_child()
 
     def test_wrapped_estimator_runs_in_the_workers(self, monkeypatch, tmp_path):
         # A wrapper put in place of _corrupt_pairs (a tracer's) is a
@@ -591,16 +629,17 @@ class TestWorkerPool:
         assert calls == [(1, 2, 6, 0.6), (2, 2, 6, 1.0)]
 
     def test_small_tasks_give_the_serial_report(self, monkeypatch, tmp_path):
-        # One task per (cell, mode, corrupt node), on inputs the workers
-        # inherit at fork; the parent builds each cell's estimator once,
-        # before the fork, and no worker builds one.
+        # One task per (cell, mode, corrupt node), DFL nodes with equal
+        # neighbour sets sharing one, on inputs the workers inherit at
+        # fork; the parent builds each cell's estimator once, before the
+        # fork, and no worker builds one.
         config = ExperimentConfig(n_values=(6, 9), densities=(0.6, 1.0), samples=300, seed=5)
         tasks = []
-        real_pool = leakage._pool_results
+        real_results = leakage._fork_results
 
-        def pool_results(groups, *args):
+        def fork_results(groups, *args):
             tasks.extend(task for group in groups for task in group)
-            return real_pool(groups, *args)
+            return real_results(groups, *args)
 
         class Estimator(leakage._CellEstimator):
             def __init__(self, data, k):
@@ -608,14 +647,20 @@ class TestWorkerPool:
                 with open(tmp_path / str(os.getpid()), "a") as log:
                     log.write(f"{id(data)}\n")
 
-        monkeypatch.setattr(leakage, "_pool_results", pool_results)
+        monkeypatch.setattr(leakage, "_fork_results", fork_results)
         monkeypatch.setattr(leakage, "_CellEstimator", Estimator)
         report = run_experiment(config)
         monkeypatch.undo()
 
-        # per cell: one CFL task and n per other mode
-        assert len(tasks) == 2 * (1 + 3 * 6) + 2 * (1 + 3 * 9)
-        assert max(len(pickle.dumps(task)) for task in tasks) < 200
+        # per cell: one CFL task, n per SA mode, one per DFL neighbour set
+        views = {
+            (n, d): len({tuple(graph.neighbors(k)) for k in range(n)})
+            for n in (6, 9)
+            for d in (0.6, 1.0)
+            for graph in [cell_topology(5, n, d)[0]]
+        }
+        assert views[(6, 1.0)] == 6 and views[(9, 1.0)] == 9
+        assert len(tasks) == sum(1 + 2 * n + views[(n, d)] for n, d in views)
         pairs, summary = serial_report(config)
         assert repr(report.pairs) == repr(pairs)
         assert repr(report.summary) == repr(summary)
@@ -623,6 +668,52 @@ class TestWorkerPool:
         assert log.name == str(os.getpid())
         cells = log.read_text().split()
         assert len(cells) == len(set(cells)) == 4
+
+    def test_tasks_beyond_a_full_task_pipe_all_run(self, monkeypatch):
+        # With one-page pipes the task pipe holds 1,024 indices up front;
+        # the rest go in as the workers drain it, and each runs once.
+        real_pipe = os.pipe
+
+        def small_pipe():
+            r, w = real_pipe()
+            fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 4096)
+            return r, w
+
+        def one_pair(est, mode, corrupt, *args):
+            return [(corrupt[0], 0, 1.0)]
+
+        monkeypatch.setattr(os, "pipe", small_pipe)
+        monkeypatch.setattr(leakage, "_corrupt_pairs", one_pair)
+        config = ExperimentConfig(
+            n_values=(400, 401, 402), densities=(1.0,), samples=100, modes=(Mode.CFL_SA,)
+        )
+        report = run_experiment(config)
+        assert [(p.n, p.corrupt) for p in report.pairs] == [
+            (n, k) for n in (400, 401, 402) for k in range(n)
+        ]
+
+    @pytest.mark.parametrize("density, observed", [(0.3, 5), (0.9, 3)])
+    def test_shared_dfl_views_are_observed_once(self, monkeypatch, tmp_path, density, observed):
+        # At d=0.9, 6 of the 8 nodes pair up by neighbour set (1-6, 3-5,
+        # 4-7) and the other two have no hidden target; at d=0.3 no two
+        # multi-column views are equal.
+        config = ExperimentConfig(
+            n_values=(8,), densities=(density,), samples=300, seed=0, modes=(Mode.CFL, Mode.DFL)
+        )
+        real = leakage._CellEstimator._observe_matrix
+
+        def observe_matrix(self, x):
+            with open(tmp_path / "calls", "a") as log:
+                log.write("x\n")
+            return real(self, x)
+
+        monkeypatch.setattr(leakage._CellEstimator, "_observe_matrix", observe_matrix)
+        report = run_experiment(config)
+        monkeypatch.undo()
+        assert len((tmp_path / "calls").read_text().split()) == observed
+        pairs, summary = serial_report(config)
+        assert repr(report.pairs) == repr(pairs)
+        assert repr(report.summary) == repr(summary)
 
 
 def synthetic_report(cells):
