@@ -28,7 +28,6 @@ from .infotheory import (
 from .leakage import (
     ExperimentConfig,
     LeakageReport,
-    Proposition1Verdict,
     draw_gradient_samples,
     run_experiment,
     verify_proposition1,

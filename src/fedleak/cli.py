@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from .attack import attack_experiment
 from .leakage import (
     CellSummary,
     ExperimentConfig,
-    LeakageReport,
+    PairLeakage,
     analytic_cell_average,
     cell_topology,
     run_experiment,
@@ -43,6 +44,7 @@ from .reporting import (
     write_csv,
     write_manifest,
     write_pgm,
+    write_records,
 )
 from .topology import (
     metropolis_weights,
@@ -231,44 +233,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     report = run_experiment(config, progress)
 
     pairs_path = out_dir / "leakage_pairs.csv"
-    pair_rows = [
-        (
-            pair.mode.value,
-            pair.n,
-            pair.density,
-            pair.corrupt,
-            pair.target,
-            pair.mi_nats,
-            pair.mi_analytic,
-            pair.relative,
-        )
-        for pair in report.pairs
-    ]
-    write_csv(
-        pairs_path,
-        ["mode", "n", "density", "k", "i", "mi_nats", "mi_analytic", "relative"],
-        pair_rows,
-    )
-
+    write_records(pairs_path, PairLeakage, report.pairs)
     summary_path = out_dir / "leakage_summary.csv"
-    summary_rows = [
-        (
-            row.mode.value,
-            row.n,
-            row.density,
-            row.actual_density,
-            row.leakage_nats,
-            row.analytic_nats,
-            row.relative,
-        )
-        for row in report.summary
-    ]
-    write_csv(
-        summary_path,
-        ["mode", "n", "density", "actual_density", "leakage_nats",
-         "analytic_nats", "relative"],
-        summary_rows,
-    )
+    write_records(summary_path, CellSummary, report.summary)
 
     graph_names = []
     for (n, density), graph in sorted(report.graphs.items()):
@@ -280,11 +247,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     manifest["output_summary"] = summary_path.name
     if Mode.CFL in modes:  # relative leakage is relative to cfl
         svg_path = out_dir / "leakage_relative.svg"
-        series = _summary_series(summary_rows, value_idx=6)
         atomic_write_text(
             svg_path,
             svg_line_chart(
-                series,
+                _relative_series(report.summary),
                 "Relative leakage by mode",
                 "nodes n",
                 "relative mutual information (mode / cfl)",
@@ -298,28 +264,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _summary_series(summary_rows, value_idx: int) -> list[Series]:
-    """One series per (mode, density) over n, ordered as encountered."""
-    keys = []
-    for row in summary_rows:
-        key = (row[0], row[2])
-        if key not in keys:
-            keys.append(key)
-    series = []
-    for mode_value, density in keys:
-        points = [
-            (row[1], row[value_idx])
-            for row in summary_rows
-            if row[0] == mode_value and row[2] == density
-        ]
-        series.append(
-            Series(
-                label=f"{mode_value} d={density:g}",
-                xs=tuple(float(p[0]) for p in points),
-                ys=tuple(float(p[1]) for p in points),
-            )
+def _relative_series(summary: list[CellSummary]) -> list[Series]:
+    """Relative leakage over n, one series per (mode, density), ordered
+    as encountered."""
+    rows: dict[tuple[Mode, float], list[CellSummary]] = {}
+    for row in summary:
+        rows.setdefault((row.mode, row.density), []).append(row)
+    return [
+        Series(
+            label=f"{mode.value} d={density:g}",
+            xs=tuple(float(row.n) for row in cell_rows),
+            ys=tuple(row.relative for row in cell_rows),
         )
-    return series
+        for (mode, density), cell_rows in rows.items()
+    ]
 
 
 def cmd_attack(args: argparse.Namespace) -> int:
@@ -459,67 +417,59 @@ def cmd_attack(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _report_from_summary_csv(path: str) -> LeakageReport:
+_SUMMARY_REQUIRED = ("mode", "n", "density", "leakage_nats")
+_SUMMARY_PARSE = {"mode": Mode.parse, "n": int}  # every other field is a float
+
+
+def _read_summary(path: str) -> list[CellSummary]:
+    """A leakage_summary.csv's rows as CellSummary records, each field
+    from its column. The columns in _SUMMARY_REQUIRED must be present
+    and well-formed; every other one is NaN where absent or empty."""
     header, rows, numbers = read_csv(path)
-    needed = {"mode", "n", "density", "leakage_nats"}
-    if not needed.issubset(header):
+    if not set(_SUMMARY_REQUIRED).issubset(header):
         raise ValueError(
-            f"{path}:1: summary header must contain {sorted(needed)}, got {header}"
+            f"{path}:1: summary header must contain {sorted(_SUMMARY_REQUIRED)}, got {header}"
         )
-    report = LeakageReport()
+    names = [f.name for f in fields(CellSummary)]
+    summary = []
     for row, lineno in zip(rows, numbers):
+        values = {}
         try:
-            report.summary.append(
-                CellSummary(
-                    mode=Mode.parse(row["mode"]),
-                    n=int(row["n"]),
-                    density=float(row["density"]),
-                    actual_density=float(row.get("actual_density") or "nan"),
-                    leakage_nats=float(row["leakage_nats"]),
-                    analytic_nats=float(row.get("analytic_nats") or "nan"),
-                    relative=float(row.get("relative") or "nan"),
-                )
-            )
-        except (ValueError, KeyError) as exc:
+            for name in names:
+                text = row[name] if name in _SUMMARY_REQUIRED else row.get(name) or "nan"
+                values[name] = _SUMMARY_PARSE.get(name, float)(text)
+        except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    if not report.summary:
+        summary.append(CellSummary(**values))
+    if not summary:
         raise ValueError(f"{path}: no summary rows")
-    return report
+    return summary
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     tol = _options(args)["tol"]
     if not (math.isfinite(tol) and tol >= 0.0):
         raise UsageError(f"--tol must be finite and >= 0, got {tol!r}")
-    try:  # an unreadable or malformed report, or a cell without all four modes
-        verdict = verify_proposition1(_report_from_summary_csv(args.report), tol)
+    try:  # an unreadable or malformed report, or a cell without one row per mode
+        verdicts = verify_proposition1(_read_summary(args.report), tol)
     except (OSError, ValueError) as exc:
         raise UsageError(f"report: {exc}") from exc
     failures = []
-    for cell in verdict.cells:
+    for cell in verdicts:
         values = " ".join(f"{k}={v:.4f}" for k, v in cell.leakage.items())
         print(f"cell n={cell.n} density={cell.density:g}: {values}")
         for rel in cell.relations:
-            if not rel.checked:
-                status = "SKIPPED"
-            elif rel.ok:
-                status = "OK"
-            else:
-                status = "FAIL"
-                failures.append((cell, rel))
+            if rel.status == "FAIL":
+                failures.append(f"{rel.name} at (n={cell.n}, density={cell.density:g})")
             exact = (
                 "" if math.isnan(rel.analytic_gap)
                 else f" closed-form gap={rel.analytic_gap:+.4f}"
             )
-            print(f"  {rel.name:<18} gap={rel.gap:+.4f}{exact}  {status}")
+            print(f"  {rel.name:<18} gap={rel.gap:+.4f}{exact}  {rel.status}")
     if failures:
-        names = ", ".join(
-            f"{rel.name} at (n={cell.n}, density={cell.density:g})"
-            for cell, rel in failures
-        )
-        print(f"CHAIN VIOLATED: {names}")
+        print(f"CHAIN VIOLATED: {', '.join(failures)}")
         return EXIT_VERIFY_FAILED
-    print(f"CHAIN HOLDS ({len(verdict.cells)} cells, tol={tol:g})")
+    print(f"CHAIN HOLDS ({len(verdicts)} cells, tol={tol:g})")
     return EXIT_OK
 
 

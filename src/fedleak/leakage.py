@@ -78,7 +78,6 @@ __all__ = [
     "LeakageReport",
     "RelationVerdict",
     "CellVerdict",
-    "Proposition1Verdict",
     "draw_gradient_samples",
     "verify_proposition1",
     "run_experiment",
@@ -135,9 +134,10 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class PairLeakage:
-    """One (corrupt node, honest target) estimator evaluation.
+    """One (corrupt node k, honest target i) estimator evaluation; a
+    row of leakage_pairs.csv, whose columns are these fields.
 
-    corrupt is -1 for CFL, whose per-target term does not involve a
+    k is -1 for CFL, whose per-target term does not involve a
     corrupt-node index. mi_analytic is the closed form for the
     secure-aggregation modes and NaN for CFL / DFL, whose shown targets
     have infinite self-information. relative is mi_nats over the cell's
@@ -146,8 +146,8 @@ class PairLeakage:
     mode: Mode
     n: int
     density: float
-    corrupt: int
-    target: int
+    k: int
+    i: int
     mi_nats: float
     mi_analytic: float
     relative: float
@@ -155,6 +155,9 @@ class PairLeakage:
 
 @dataclass(frozen=True)
 class CellSummary:
+    """One mode's average over a cell's pairs; a row of
+    leakage_summary.csv, whose columns are these fields."""
+
     mode: Mode
     n: int
     density: float
@@ -169,20 +172,6 @@ class LeakageReport:
     pairs: list[PairLeakage] = field(default_factory=list)
     summary: list[CellSummary] = field(default_factory=list)
     graphs: dict[tuple[int, float], Graph] = field(default_factory=dict)
-
-    def cell(self, mode: Mode, n: int, density: float) -> CellSummary:
-        for row in self.summary:
-            if row.mode is mode and row.n == n and row.density == density:
-                return row
-        raise KeyError(f"no cell ({mode.value}, n={n}, density={density})")
-
-    def cells(self) -> list[tuple[int, float]]:
-        seen: list[tuple[int, float]] = []
-        for row in self.summary:
-            key = (row.n, row.density)
-            if key not in seen:
-                seen.append(key)
-        return seen
 
 
 def draw_gradient_samples(n: int, samples: int, seed) -> SampleMatrix:
@@ -559,8 +548,8 @@ def run_experiment(config: ExperimentConfig, progress=None) -> LeakageReport:
                             mode=mode,
                             n=n,
                             density=density,
-                            corrupt=corrupt,
-                            target=target,
+                            k=corrupt,
+                            i=target,
                             mi_nats=value,
                             mi_analytic=closed.get((corrupt, target), math.nan),
                             relative=relative(value),
@@ -589,39 +578,21 @@ class RelationVerdict:
     name: str
     gap: float  # estimated
     analytic_gap: float  # from the closed forms; NaN unless both sides have one
-    checked: bool
-    direction_ok: bool  # estimated gap >= -tol
-    margin_ok: bool  # see verify_proposition1
-
-    @property
-    def ok(self) -> bool:
-        return not self.checked or (self.direction_ok and self.margin_ok)
+    status: str  # "OK", "FAIL" or "SKIPPED"; see verify_proposition1
 
 
 @dataclass(frozen=True)
 class CellVerdict:
     n: int
     density: float
-    leakage: dict
+    leakage: dict[str, float]  # mode value -> leakage_nats, in ALL_MODES order
     relations: tuple[RelationVerdict, ...]
 
-    @property
-    def holds(self) -> bool:
-        return all(r.ok for r in self.relations)
 
-
-@dataclass(frozen=True)
-class Proposition1Verdict:
-    tol: float
-    cells: tuple[CellVerdict, ...]
-
-    @property
-    def holds(self) -> bool:
-        return all(c.holds for c in self.cells)
-
-
-def verify_proposition1(report: LeakageReport, tol: float) -> Proposition1Verdict:
-    """Check I_CFL >= I_DFL > I_DFL_SA >= I_CFL_SA on every cell.
+def verify_proposition1(summary: list[CellSummary], tol: float) -> list[CellVerdict]:
+    """Check I_CFL >= I_DFL > I_DFL_SA >= I_CFL_SA on every cell of the
+    CellSummary records in summary, one verdict per (n, density), in the
+    order of each cell's first record.
 
     The outer relations hold with equality exactly on the complete
     graph, so for density < 1 their gaps must exceed tol and at density
@@ -629,28 +600,29 @@ def verify_proposition1(report: LeakageReport, tol: float) -> Proposition1Verdic
     (dfl_sa vs cfl_sa) the closed-form gap decides that margin instead,
     and need only exceed 0: at high density the true gap is far below
     any tol that covers estimator noise. The middle relation is strict
-    for any connected graph on more than two nodes and is skipped at
+    for any connected graph on more than two nodes and is SKIPPED at
     n = 2. A relation whose two closed forms are both +inf (at n = 2,
-    where each secure-aggregation view shows the other node) is skipped
+    where each secure-aggregation view shows the other node) is SKIPPED
     too: no finite-sample estimate can order two infinite quantities.
-    Every relation checked also gets a direction check on the estimated
-    gap with a tol cushion for estimator noise. Returns a verdict
-    object; raises ValueError only for a cell that lacks one of the four
-    modes.
+    A relation checked is OK if its margin holds and its estimated gap
+    is >= -tol (a direction check with a cushion for estimator noise),
+    and FAIL otherwise. Raises ValueError for a cell that lacks one of
+    the four modes or has two records of one.
     """
-    cells = []
-    for n, density in report.cells():
-        rows = {}
-        for mode in ALL_MODES:
-            try:
-                rows[mode] = report.cell(mode, n, density)
-            except KeyError:
-                pass
-        missing = [m for m in ALL_MODES if m not in rows]
+    cells: dict[tuple[int, float], dict[Mode, CellSummary]] = {}
+    for row in summary:
+        rows = cells.setdefault((row.n, row.density), {})
+        if row.mode in rows:
+            raise ValueError(
+                f"cell (n={row.n}, density={row.density}) has two {row.mode.value} rows"
+            )
+        rows[row.mode] = row
+    verdicts = []
+    for (n, density), rows in cells.items():
+        missing = [m.value for m in ALL_MODES if m not in rows]
         if missing:
             raise ValueError(
-                f"cell (n={n}, density={density}) lacks modes "
-                f"{[m.value for m in missing]}; all four are needed"
+                f"cell (n={n}, density={density}) lacks modes {missing}; all four are needed"
             )
         complete = density >= 1.0
         relations = []
@@ -662,30 +634,17 @@ def verify_proposition1(report: LeakageReport, tol: float) -> Proposition1Verdic
             gap = rows[lhs].leakage_nats - rows[rhs].leakage_nats
             exact = rows[lhs].analytic_nats - rows[rhs].analytic_nats
             infinite = rows[lhs].analytic_nats == rows[rhs].analytic_nats == math.inf
-            checked = (outer or n > 2) and not infinite
-            direction_ok = gap >= -tol
             if outer and not math.isnan(exact):
                 margin_ok = abs(exact) <= tol if complete else exact > 0
             elif outer and complete:
                 margin_ok = abs(gap) <= tol
             else:
                 margin_ok = gap > tol
-            relations.append(
-                RelationVerdict(
-                    name=name,
-                    gap=gap,
-                    analytic_gap=exact,
-                    checked=checked,
-                    direction_ok=direction_ok,
-                    margin_ok=margin_ok,
-                )
-            )
-        cells.append(
-            CellVerdict(
-                n=n,
-                density=density,
-                leakage={m.value: r.leakage_nats for m, r in rows.items()},
-                relations=tuple(relations),
-            )
-        )
-    return Proposition1Verdict(tol=tol, cells=tuple(cells))
+            if infinite or not (outer or n > 2):
+                status = "SKIPPED"
+            else:
+                status = "OK" if margin_ok and gap >= -tol else "FAIL"
+            relations.append(RelationVerdict(name, gap, exact, status))
+        leakage = {m.value: rows[m].leakage_nats for m in ALL_MODES}
+        verdicts.append(CellVerdict(n, density, leakage, tuple(relations)))
+    return verdicts

@@ -17,7 +17,8 @@ from __future__ import annotations
 import os
 import secrets
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -27,6 +28,7 @@ __all__ = [
     "atomic_write_text",
     "format_cell",
     "write_csv",
+    "write_records",
     "read_csv",
     "write_pgm",
     "Series",
@@ -61,6 +63,8 @@ def format_cell(value) -> str:
         return repr(float(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
+    if isinstance(value, Enum):
+        return str(value.value)
     return str(value)
 
 
@@ -68,6 +72,16 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
     lines = [",".join(header)]
     lines.extend(",".join(format_cell(v) for v in row) for row in rows)
     atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def write_records(path: str | Path, record_type: type, records: Iterable) -> None:
+    """A table of dataclass records: one column per field of record_type,
+    named after it, in field order, and one row per record. The fields
+    are the table's format, so a new field is a new column and changes
+    the header line (perfbench/oracle.py requires the sweep tables'
+    header lines exactly)."""
+    names = [f.name for f in fields(record_type)]
+    write_csv(path, names, ([getattr(r, name) for name in names] for r in records))
 
 
 def read_csv(path: str | Path) -> tuple[list[str], list[dict[str, str]], list[int]]:
@@ -300,7 +314,8 @@ def write_manifest(path: str | Path, entries: dict[str, str]) -> None:
 
 
 def read_keyvalue(path: str | Path) -> dict[str, str]:
-    """Parse key=value lines; '#' starts a comment, blanks are skipped."""
+    """Parse key=value lines; '#' starts a comment, blanks are skipped.
+    A key given twice is a ValueError naming the second line."""
     entries: dict[str, str] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         stripped = line.strip()
@@ -309,5 +324,8 @@ def read_keyvalue(path: str | Path) -> dict[str, str]:
         if "=" not in stripped:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = stripped.partition("=")
-        entries[key.strip()] = value.strip()
+        key = key.strip()
+        if key in entries:
+            raise ValueError(f"{path}:{lineno}: key {key} is given twice")
+        entries[key] = value.strip()
     return entries

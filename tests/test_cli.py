@@ -223,13 +223,16 @@ class TestUsageErrors:
             (["simulate", *SMALL_SWEEP, "--config"], None, "--config: [Errno 2]"),
             (["simulate", *SMALL_SWEEP, "--config"], "n=4\nsamples\n",
              "--config: {path}:2: expected key=value"),
+            (["simulate", *SMALL_SWEEP, "--config"], "seed=1\n# again\n seed = 2\n",
+             "--config: {path}:3: key seed is given twice"),
             (["attack", "--iters", "5", "--graph-file"], None, "--graph-file: [Errno 2]"),
             (["attack", "--iters", "5", "--graph-file"], "4 2\n0 1\n2 3\n",
              "--graph-file: the graph in {path} is not connected"),
             (["attack", "--iters", "5", "--graph-file"], "4 4\n0 1\n1 2\n2 3\n",
              "--graph-file: {path}: header says m=4 but found 3 edges"),
         ],
-        ids=["config-missing", "config-malformed", "graph-missing", "graph-disconnected",
+        ids=["config-missing", "config-malformed", "config-repeated", "graph-missing",
+             "graph-disconnected",
              "graph-edge-count"],
     )
     def test_bad_input_file_exits_before_any_work(self, tmp_path, capsys, argv, content, message):
@@ -329,6 +332,20 @@ class TestUsageErrors:
 
 
 class TestSimulateOutputs:
+    def test_table_headers_and_mode_values(self, tmp_path):
+        # perfbench/oracle.py requires both header lines exactly
+        assert simulate(tmp_path, *SMALL_SWEEP) == EXIT_OK
+        out = tmp_path / "out"
+        for name, header in (
+            ("leakage_pairs.csv", "mode,n,density,k,i,mi_nats,mi_analytic,relative"),
+            ("leakage_summary.csv",
+             "mode,n,density,actual_density,leakage_nats,analytic_nats,relative"),
+        ):
+            lines = (out / name).read_text().splitlines()
+            assert lines[0] == header
+            assert lines[1].startswith("cfl,4,1.0,")
+            assert {line.split(",")[0] for line in lines[1:]} == {"cfl", "cfl_sa", "dfl", "dfl_sa"}
+
     def test_without_cfl_writes_no_relative_chart(self, tmp_path):
         assert simulate(tmp_path, "--modes", "cfl_sa", *SMALL_SWEEP) == EXIT_OK
         out = tmp_path / "out"
@@ -538,6 +555,58 @@ class TestVerify:
         # its closed form is positive, so the chain holds.
         assert main(["verify", str(summary)]) == EXIT_OK
         assert "CHAIN HOLDS" in capsys.readouterr().out
+
+    GOLDEN_SUMMARY = """\
+mode,n,density,actual_density,leakage_nats,analytic_nats,relative
+cfl,10,0.5,,6.0,,1.0
+cfl_sa,10,0.5,,0.1,0.1,
+dfl,10,0.5,0.5,3.0,,
+dfl_sa,10,0.5,0.5,0.4,inf,
+cfl,2,1.0,,2.0,,1.0
+cfl_sa,2,1.0,,2.5,inf,
+dfl,2,1.0,1.0,2.0,,
+dfl_sa,2,1.0,1.0,2.0,inf,
+dfl_sa,6,0.6,0.6,0.4,,
+dfl,6,0.6,0.6,3.0,,
+cfl_sa,6,0.6,,2.0,,
+cfl,6,0.6,,6.0,,1.0
+"""
+    GOLDEN_STDOUT = """\
+cell n=10 density=0.5: cfl=6.0000 cfl_sa=0.1000 dfl=3.0000 dfl_sa=0.4000
+  cfl_vs_dfl         gap=+3.0000  OK
+  dfl_vs_dfl_sa      gap=+2.6000  OK
+  dfl_sa_vs_cfl_sa   gap=+0.3000 closed-form gap=+inf  OK
+cell n=2 density=1: cfl=2.0000 cfl_sa=2.5000 dfl=2.0000 dfl_sa=2.0000
+  cfl_vs_dfl         gap=+0.0000  OK
+  dfl_vs_dfl_sa      gap=+0.0000  SKIPPED
+  dfl_sa_vs_cfl_sa   gap=-0.5000  SKIPPED
+cell n=6 density=0.6: cfl=6.0000 cfl_sa=2.0000 dfl=3.0000 dfl_sa=0.4000
+  cfl_vs_dfl         gap=+3.0000  OK
+  dfl_vs_dfl_sa      gap=+2.6000  OK
+  dfl_sa_vs_cfl_sa   gap=-1.6000  FAIL
+CHAIN VIOLATED: dfl_sa_vs_cfl_sa at (n=6, density=0.6)
+"""
+
+    def test_golden_stdout_and_exit_code(self, tmp_path, capsys):
+        # cells in first-row order, modes in ALL_MODES order; an OK, a
+        # FAIL, two SKIPPED (n=2) and a +inf closed-form gap
+        report = tmp_path / "summary.csv"
+        report.write_text(self.GOLDEN_SUMMARY)
+        assert main(["verify", str(report)]) == EXIT_VERIFY_FAILED
+        captured = capsys.readouterr()
+        assert captured.out == self.GOLDEN_STDOUT
+        assert captured.err == ""
+
+    def test_repeated_row_is_a_usage_error(self, tmp_path, capsys):
+        assert simulate(tmp_path, *SMALL_SWEEP) == EXIT_OK
+        summary = tmp_path / "out" / "leakage_summary.csv"
+        with summary.open("a") as handle:
+            handle.write("cfl,4,1.0,,9.0,,1.0\n")
+        capsys.readouterr()
+        assert main(["verify", str(summary)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "usage error: report: cell (n=4, density=1.0) has two cfl rows" in captured.err
+        assert captured.out == ""
 
     def test_two_node_sweep_passes(self, tmp_path, capsys):
         # At n = 2 both secure-aggregation views show the other node: both

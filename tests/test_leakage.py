@@ -12,7 +12,6 @@ from fedleak.infotheory import SampleMatrix, knn_cmi, knn_mi
 from fedleak.leakage import (
     CellSummary,
     ExperimentConfig,
-    LeakageReport,
     PairLeakage,
     analytic_cell_average,
     cell_seed_sequences,
@@ -419,6 +418,12 @@ class TestEstimateModeLeakage:
         assert average(dfl_sa) == pytest.approx(expected, abs=0.02)
 
 
+def cell(report, mode, n, density):
+    """The one summary record of (mode, n, density) in report."""
+    (row,) = [r for r in report.summary if (r.mode, r.n, r.density) == (mode, n, density)]
+    return row
+
+
 class TestRunExperiment:
     @pytest.fixture(scope="class")
     def small_report(self):
@@ -428,13 +433,14 @@ class TestRunExperiment:
         return run_experiment(config)
 
     def test_cell_structure(self, small_report):
-        assert small_report.cells() == [(6, 0.6), (6, 1.0)]
+        cells = [(row.n, row.density) for row in small_report.summary]
+        assert list(dict.fromkeys(cells)) == [(6, 0.6), (6, 1.0)]
         # per cell: n CFL rows + 3 modes with n(n-1) rows each
         assert len(small_report.pairs) == 2 * (6 + 3 * 30)
 
     def test_relative_cfl_is_one(self, small_report):
         for density in (0.6, 1.0):
-            assert small_report.cell(Mode.CFL, 6, density).relative == 1.0
+            assert cell(small_report, Mode.CFL, 6, density).relative == 1.0
 
     def test_relative_values_bounded(self, small_report):
         for row in small_report.summary:
@@ -442,22 +448,22 @@ class TestRunExperiment:
 
     def test_pair_relative_is_over_the_cfl_cell_average(self, small_report):
         for pair in small_report.pairs:
-            cfl = small_report.cell(Mode.CFL, pair.n, pair.density).leakage_nats
+            cfl = cell(small_report, Mode.CFL, pair.n, pair.density).leakage_nats
             assert pair.relative == pair.mi_nats / cfl
 
     def test_graph_and_closed_form_come_from_cell_topology(self, small_report):
         graph, _ = cell_topology(9, 6, 0.6)
         assert small_report.graphs[(6, 0.6)] == graph
-        row = small_report.cell(Mode.DFL_SA, 6, 0.6)
+        row = cell(small_report, Mode.DFL_SA, 6, 0.6)
         assert analytic_cell_average(Mode.DFL_SA, 6, 0.6, seed=9) == (
             row.analytic_nats,
             row.actual_density,
         )
 
     def test_actual_density_recorded(self, small_report):
-        cell = small_report.cell(Mode.DFL, 6, 0.6)
+        row = cell(small_report, Mode.DFL, 6, 0.6)
         graph = small_report.graphs[(6, 0.6)]
-        assert cell.actual_density == pytest.approx(graph.density)
+        assert row.actual_density == pytest.approx(graph.density)
 
     def test_deterministic_per_seed(self, small_report):
         config = ExperimentConfig(
@@ -473,7 +479,7 @@ class TestRunExperiment:
         )
         report = run_experiment(config)
         assert {row.mode for row in report.summary} == {Mode.CFL_SA}
-        assert math.isnan(report.cell(Mode.CFL_SA, 5, 0.9).relative)
+        assert math.isnan(cell(report, Mode.CFL_SA, 5, 0.9).relative)
         assert len(report.pairs) == 20
         assert all(math.isnan(pair.relative) for pair in report.pairs)
 
@@ -688,7 +694,7 @@ class TestWorkerPool:
             n_values=(400, 401, 402), densities=(1.0,), samples=100, modes=(Mode.CFL_SA,)
         )
         report = run_experiment(config)
-        assert [(p.n, p.corrupt) for p in report.pairs] == [
+        assert [(p.n, p.k) for p in report.pairs] == [
             (n, k) for n in (400, 401, 402) for k in range(n)
         ]
 
@@ -716,23 +722,26 @@ class TestWorkerPool:
         assert repr(report.summary) == repr(summary)
 
 
-def synthetic_report(cells):
-    """Build a LeakageReport from {(n, density): {mode: value}}."""
-    report = LeakageReport()
-    for (n, density), values in cells.items():
-        for mode, value in values.items():
-            report.summary.append(
-                CellSummary(
-                    mode=mode,
-                    n=n,
-                    density=density,
-                    actual_density=density,
-                    leakage_nats=value,
-                    analytic_nats=math.nan,
-                    relative=math.nan,
-                )
-            )
-    return report
+def synthetic_summary(cells):
+    """CellSummary records from {(n, density): {mode: value}}."""
+    return [
+        CellSummary(
+            mode=mode,
+            n=n,
+            density=density,
+            actual_density=density,
+            leakage_nats=value,
+            analytic_nats=math.nan,
+            relative=math.nan,
+        )
+        for (n, density), values in cells.items()
+        for mode, value in values.items()
+    ]
+
+
+def holds(verdicts):
+    """No relation of any cell failed."""
+    return all(r.status != "FAIL" for c in verdicts for r in c.relations)
 
 
 HEALTHY = {Mode.CFL: 6.0, Mode.DFL: 3.0, Mode.DFL_SA: 0.40, Mode.CFL_SA: 0.10}
@@ -740,9 +749,9 @@ HEALTHY = {Mode.CFL: 6.0, Mode.DFL: 3.0, Mode.DFL_SA: 0.40, Mode.CFL_SA: 0.10}
 
 class TestVerifyProposition1:
     def test_strict_cell_passes(self):
-        verdict = verify_proposition1(synthetic_report({(10, 0.5): HEALTHY}), tol=0.05)
-        assert verdict.holds
-        assert [r.name for r in verdict.cells[0].relations] == [
+        verdicts = verify_proposition1(synthetic_summary({(10, 0.5): HEALTHY}), tol=0.05)
+        assert holds(verdicts)
+        assert [r.name for r in verdicts[0].relations] == [
             "cfl_vs_dfl",
             "dfl_vs_dfl_sa",
             "dfl_sa_vs_cfl_sa",
@@ -750,39 +759,39 @@ class TestVerifyProposition1:
 
     def test_complete_graph_requires_near_equality(self):
         equal = {Mode.CFL: 6.0, Mode.DFL: 6.0, Mode.DFL_SA: 0.1, Mode.CFL_SA: 0.1}
-        assert verify_proposition1(synthetic_report({(10, 1.0): equal}), tol=0.05).holds
+        assert holds(verify_proposition1(synthetic_summary({(10, 1.0): equal}), tol=0.05))
         # a clearly separated outer relation on a complete graph fails
-        assert not verify_proposition1(
-            synthetic_report({(10, 1.0): HEALTHY}), tol=0.05
-        ).holds
+        assert not holds(
+            verify_proposition1(synthetic_summary({(10, 1.0): HEALTHY}), tol=0.05)
+        )
 
     def test_inflated_cfl_sa_names_violated_relation(self):
         broken = dict(HEALTHY)
         broken[Mode.CFL_SA] = 2.0
-        verdict = verify_proposition1(synthetic_report({(10, 0.5): broken}), tol=0.05)
-        assert not verdict.holds
+        verdicts = verify_proposition1(synthetic_summary({(10, 0.5): broken}), tol=0.05)
+        assert not holds(verdicts)
         failing = [
-            r.name for c in verdict.cells for r in c.relations if not r.ok
+            r.name for c in verdicts for r in c.relations if r.status == "FAIL"
         ]
         assert failing == ["dfl_sa_vs_cfl_sa"]
 
     def test_middle_relation_skipped_at_two_nodes(self):
         tied = {Mode.CFL: 6.0, Mode.DFL: 3.0, Mode.DFL_SA: 3.0, Mode.CFL_SA: 0.1}
-        verdict = verify_proposition1(synthetic_report({(2, 0.5): tied}), tol=0.05)
-        middle = verdict.cells[0].relations[1]
-        assert not middle.checked
-        assert middle.ok  # skipped relations never fail the cell
+        verdicts = verify_proposition1(synthetic_summary({(2, 0.5): tied}), tol=0.05)
+        middle = verdicts[0].relations[1]
+        assert middle.status == "SKIPPED"  # skipped relations never fail the cell
+        assert holds(verdicts)
 
     def test_missing_mode_rejected(self):
         partial = {Mode.CFL: 6.0, Mode.DFL: 3.0, Mode.DFL_SA: 0.4}
         with pytest.raises(ValueError, match="lacks modes"):
-            verify_proposition1(synthetic_report({(10, 0.5): partial}), tol=0.05)
+            verify_proposition1(synthetic_summary({(10, 0.5): partial}), tol=0.05)
 
     def test_estimated_small_cell_chain_direction_holds(self):
         config = ExperimentConfig(n_values=(8,), densities=(0.4,), samples=500, seed=4)
-        verdict = verify_proposition1(run_experiment(config), tol=0.05)
-        for rel in verdict.cells[0].relations:
-            assert rel.direction_ok
+        (verdict,) = verify_proposition1(run_experiment(config).summary, tol=0.05)
+        for rel in verdict.relations:
+            assert rel.gap >= -0.05
 
 
 class TestPairAnalytics:
@@ -795,7 +804,7 @@ class TestPairAnalytics:
                 assert pair.mi_analytic == pytest.approx(cfl_sa_closed_form(6), rel=1e-13)
             elif pair.mode is Mode.DFL_SA:
                 assert pair.mi_analytic == pytest.approx(
-                    dfl_sa_closed_form(weights, pair.corrupt, pair.target), rel=1e-13
+                    dfl_sa_closed_form(weights, pair.k, pair.i), rel=1e-13
                 )
             else:
                 assert math.isnan(pair.mi_analytic)

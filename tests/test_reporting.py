@@ -2,6 +2,7 @@ import errno
 import importlib
 import os
 import pkgutil
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 
 import fedleak
 from fedleak import reporting
-from fedleak.reporting import write_pgm
+from fedleak.protocol import Mode
+from fedleak.reporting import write_pgm, write_records
 
 # every fedleak module that declares __all__ (the CLI module does not)
 MODULES = [
@@ -24,6 +26,19 @@ def test_star_import_binds_every_public_name(name):
     namespace = {}
     exec(f"from {name} import *", namespace)
     assert set(importlib.import_module(name).__all__) <= set(namespace)
+
+
+def test_write_records_one_column_per_field(tmp_path):
+    # an Enum is written by its value, a float by its round-trip repr
+    @dataclass(frozen=True)
+    class Row:
+        mode: Mode
+        n: int
+        x: float
+
+    path = tmp_path / "rows.csv"
+    write_records(path, Row, [Row(Mode.CFL_SA, 3, 0.1), Row(Mode.DFL, 4, float("nan"))])
+    assert path.read_text() == "mode,n,x\ncfl_sa,3,0.1\ndfl,4,nan\n"
 
 
 class TestWritePgm:
