@@ -424,7 +424,8 @@ _SUMMARY_PARSE = {"mode": Mode.parse, "n": int}  # every other field is a float
 def _read_summary(path: str) -> list[CellSummary]:
     """A leakage_summary.csv's rows as CellSummary records, each field
     from its column. The columns in _SUMMARY_REQUIRED must be present
-    and well-formed; every other one is NaN where absent or empty."""
+    and well-formed, and each row a cell a sweep can have: n >= 2 and
+    0 < density <= 1. Every other column is NaN where absent or empty."""
     header, rows, numbers = read_csv(path)
     if not set(_SUMMARY_REQUIRED).issubset(header):
         raise ValueError(
@@ -440,6 +441,10 @@ def _read_summary(path: str) -> list[CellSummary]:
                 values[name] = _SUMMARY_PARSE.get(name, float)(text)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        if values["n"] < 2:
+            raise ValueError(f"{path}:{lineno}: node counts must be >= 2, got {values['n']}")
+        if not 0.0 < values["density"] <= 1.0:
+            raise ValueError(f"{path}:{lineno}: density {values['density']} outside (0, 1]")
         summary.append(CellSummary(**values))
     if not summary:
         raise ValueError(f"{path}: no summary rows")

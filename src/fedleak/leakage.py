@@ -41,10 +41,10 @@ never changed afterwards, then forks one worker per usable CPU, which
 inherits them. Each task is one (cell, mode, corrupt node): the pairs
 of one corrupt node, or of a CFL cell, which a worker only looks up and
 scores; DFL corrupt nodes with equal neighbour sets observe the same
-columns and share one task. Workers take task indices from one pipe
-and send their pairs back on their own, and the parent assembles the
-report in sweep order, so the report does not depend on the number of
-workers.
+columns and share one task. Each worker has its own pipe to the
+parent, on which it gets one task index at a time and sends back that
+task's pairs, and the parent assembles the report in sweep order, so
+the report does not depend on the number of workers.
 """
 
 from __future__ import annotations
@@ -52,12 +52,11 @@ from __future__ import annotations
 import math
 import os
 import pickle
-import select
 import signal
-import struct
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
+from multiprocessing import connection
 
 import numpy as np
 
@@ -297,64 +296,45 @@ def _raise_terminated(signum, frame):
 # Held back while workers are forked, until each has set its own
 # handling, and while they are ended, so that no handler interrupts it.
 _HELD = {signal.SIGINT, signal.SIGTERM}
-_LENGTH = struct.Struct("<Q")  # a reply frame's payload length
-_INDEX = 4  # bytes of one task index on the task pipe, little-endian
 
 
-def _read_exact(fd: int, size: int) -> bytes | None:
-    """size bytes from fd, or None if the pipe ends before them."""
-    data = b""
-    while len(data) < size:
-        chunk = os.read(fd, size - len(data))
-        if not chunk:
-            return None
-        data += chunk
-    return data
-
-
-def _send(fd: int, payload: bytes) -> None:
-    """One reply frame: the payload's length, then the payload."""
-    frame = memoryview(_LENGTH.pack(len(payload)) + payload)
-    while frame:
-        frame = frame[os.write(fd, frame) :]
-
-
-def _error_payload(index: int, exc: Exception) -> bytes:
-    """A failed task's reply. An exception that cannot make the trip to
-    the parent, pickled and read back, becomes a RuntimeError naming it."""
+def _sendable(exc: Exception) -> Exception:
+    """exc, or, if it cannot make the trip to the parent, pickled and
+    read back, a RuntimeError naming it."""
     try:
         pickle.loads(pickle.dumps(exc))
     except Exception:
-        exc = RuntimeError(f"a sweep task raised {exc!r}, which cannot be sent from its worker")
-    return pickle.dumps((index, exc))
+        return RuntimeError(f"a sweep task raised {exc!r}, which cannot be sent from its worker")
+    return exc
 
 
-def _serve(tasks_fd: int, results_fd: int, unused_fds, tasks, cells, mask) -> None:
+def _serve(conn: connection.Connection, unused, tasks, cells, mask) -> None:
     """A forked worker's life; it never returns. It takes SIGTERM's
     default action and ignores Ctrl-C, which reaches the whole process
-    group and which the parent acts on. It then takes one task index at
-    a time from tasks_fd, shared by every worker, until the parent has
-    closed it, and replies on results_fd, its own, with (index, pairs)
-    or (index, exception), and at the end with None. _corrupt_pairs is
-    looked up when a task runs, so a wrapper put in its place (a
+    group and which the parent acts on. It closes the unused pipe ends
+    it inherited, then receives one task index at a time on conn, its
+    own pipe to the parent, and answers each with (index, pairs) or
+    (index, exception), until the parent closes its end. _corrupt_pairs
+    is looked up when a task runs, so a wrapper put in its place (a
     tracer's, a test's) runs too."""
     code = 1
     try:
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        for fd in unused_fds:
-            os.close(fd)
-        while raw := _read_exact(tasks_fd, _INDEX):
-            index = int.from_bytes(raw, "little")
+        for end in unused:
+            end.close()
+        while True:
+            try:
+                index = conn.recv()
+            except EOFError:
+                break
             cell, mode, corrupt = tasks[index]
             est, graph, weights = cells[cell]
-            try:
-                payload = pickle.dumps((index, _corrupt_pairs(est, mode, corrupt, graph, weights)))
+            try:  # a result that cannot be pickled fails its task too
+                conn.send((index, _corrupt_pairs(est, mode, corrupt, graph, weights)))
             except Exception as exc:
-                payload = _error_payload(index, exc)
-            _send(results_fd, payload)
-        _send(results_fd, pickle.dumps(None))
+                conn.send((index, _sendable(exc)))
         code = 0
     finally:
         os._exit(code)
@@ -371,62 +351,51 @@ def _fork_results(groups: list[list[tuple[int, Mode, tuple[int, ...]]]], cells):
     tasks and cells, the (estimator, graph, weights) of every cell, so
     only task indices and replies cross a pipe; it also starts with
     numpy and scipy loaded and with the parent's binding of
-    _corrupt_pairs. Every task index is written up front to one pipe,
-    from which a worker takes the next whenever it is free, so the
-    workers finish at most about one task apart; indices a full pipe
-    cannot hold go in as the workers drain it. The parent waits on the
-    workers' reply pipes with select. A task's exception reaches the
-    caller, and a worker whose pipe ends before it has reported the task
-    pipe empty raises RuntimeError naming it and its exit code. Every
-    worker is killed and reaped when the block exits: after the last
-    result, on an error, or on SIGTERM, which then ends the parent too,
-    by SIGTERM's default action. A process that handles or ignores
-    SIGTERM itself, or a thread other than the main one (which cannot
-    set a handler), keeps its own handling."""
+    _corrupt_pairs. Each worker has one duplex pipe to the parent and
+    holds one task at a time: the parent sends it the next task index
+    when its reply arrives, so the workers finish at most about one task
+    apart, and closes the pipe once no task is left, at which the worker
+    exits. The parent waits on all the pipes at once. A task's exception
+    reaches the caller, and no index goes out after it; a worker whose
+    pipe ends while it holds a task raises RuntimeError naming it and
+    its exit code. Every worker is killed and reaped when the block
+    exits: after the last result, on an error, or on SIGTERM, which then
+    ends the parent too, by SIGTERM's default action. A process that
+    handles or ignores SIGTERM itself, or a thread other than the main
+    one (which cannot set a handler), keeps its own handling."""
     tasks = [task for group in groups for task in group]
     results: list = [None] * len(tasks)
     left = [len(group) for group in groups]  # replies each group awaits
     group_of = [g for g, group in enumerate(groups) for _ in group]
-    owners: dict[int, int] = {}  # reply pipe -> pid of its worker, until reaped
-    fds: set[int] = set()  # the parent's open pipe ends
-    unsent = memoryview(np.arange(len(tasks), dtype="<u4").tobytes())
+    unsent = iter(range(len(tasks)))
+    ends: list[connection.Connection] = []  # every pipe end the parent opened
+    owners: dict[connection.Connection, int] = {}  # parent's end -> worker pid, until reaped
 
-    def feed() -> None:
-        # A write of at most PIPE_BUF bytes goes in whole or not at all,
-        # so no worker reads part of an index.
-        nonlocal unsent
-        while unsent:
-            try:
-                os.write(task_w, unsent[: select.PIPE_BUF])
-            except BlockingIOError:
-                return
-            unsent = unsent[select.PIPE_BUF :]
-        os.close(task_w)
-        fds.discard(task_w)
+    def give(conn) -> None:
+        # the worker's next task, or the end of its pipe if none is left
+        index = next(unsent, None)
+        if index is None:
+            conn.close()
+        else:
+            with suppress(OSError):  # a lost worker, which its end of the pipe reports
+                conn.send(index)
 
     def wait() -> None:
-        readable, writable, _ = select.select(reading, [task_w] if unsent else [], [])
-        if writable:
-            feed()
-        for fd in readable:
-            size = _read_exact(fd, _LENGTH.size)
-            payload = size and _read_exact(fd, _LENGTH.unpack(size)[0])
-            if payload is None:
-                pid = owners.pop(fd)
+        for conn in connection.wait([end for end in owners if not end.closed]):
+            try:
+                index, value = conn.recv()
+            except (EOFError, OSError):
+                pid = owners.pop(conn)
                 _, status = os.waitpid(pid, 0)
                 raise RuntimeError(
                     f"sweep worker {pid} exited with code "
                     f"{os.waitstatus_to_exitcode(status)} before the sweep finished"
-                )
-            reply = pickle.loads(payload)
-            if reply is None:
-                reading.remove(fd)
-                continue
-            index, value = reply
+                ) from None
             if isinstance(value, BaseException):
                 raise value
             results[index] = value
             left[group_of[index]] -= 1
+            give(conn)
 
     def collect():
         end = 0
@@ -444,24 +413,20 @@ def _fork_results(groups: list[list[tuple[int, Mode, tuple[int, ...]]]], cells):
         signal.signal(signal.SIGTERM, _raise_terminated)
     try:
         try:
-            task_r, task_w = os.pipe()
-            fds.update((task_r, task_w))
-            os.set_blocking(task_w, False)
-            feed()
             mask = signal.pthread_sigmask(signal.SIG_BLOCK, _HELD)
             try:
                 for _ in range(min(len(os.sched_getaffinity(0)), len(tasks))):
-                    results_r, results_w = os.pipe()
-                    fds.update((results_r, results_w))
+                    parent_end, child_end = connection.Pipe()
+                    ends += (parent_end, child_end)
                     pid = os.fork()
                     if pid == 0:
-                        _serve(task_r, results_w, fds - {task_r, results_w}, tasks, cells, mask)
-                    owners[results_r] = pid
-                    os.close(results_w)
-                    fds.remove(results_w)
+                        _serve(child_end, ends[:-1], tasks, cells, mask)  # all but its own end
+                    child_end.close()
+                    owners[parent_end] = pid
             finally:
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-            reading = list(owners)
+            for conn in owners:
+                give(conn)
             yield collect()
         finally:
             mask = signal.pthread_sigmask(signal.SIG_BLOCK, _HELD)
@@ -470,8 +435,8 @@ def _fork_results(groups: list[list[tuple[int, Mode, tuple[int, ...]]]], cells):
                     os.kill(pid, signal.SIGKILL)
                 for pid in owners.values():
                     os.waitpid(pid, 0)
-                for fd in fds:
-                    os.close(fd)
+                for end in ends:
+                    end.close()
             finally:
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
     except _Terminated:

@@ -49,6 +49,13 @@ def output_files(out_dir):
     )
 
 
+def one_cell(n, density):
+    """A summary of one cell at (n, density) whose estimates hold the chain."""
+    values = {"cfl": 6.0, "cfl_sa": 0.1, "dfl": 3.0, "dfl_sa": 0.4}
+    rows = "".join(f"{mode},{n},{density},{value}\n" for mode, value in values.items())
+    return "mode,n,density,leakage_nats\n" + rows
+
+
 def test_attack_help_describes_n_as_one_count(capsys):
     helps = {}
     for command in ("attack", "simulate"):
@@ -636,8 +643,13 @@ CHAIN VIOLATED: dfl_sa_vs_cfl_sa at (n=6, density=0.6)
             ("mode,n,density,leakage_nats\n", "no summary rows"),
             ("mode,n,density,leakage_nats\ncfl,8,x,0.5\n", ":2: could not convert"),
             ("mode,n,density,leakage_nats\ncfl,8,0.3\n", ":2: expected 4 columns"),
+            # cells no sweep has; at n=1, density -0.5 verify printed CHAIN HOLDS
+            (one_cell(1, -0.5), ":2: node counts must be >= 2, got 1"),
+            (one_cell(4, "nan"), ":2: density nan outside (0, 1]"),
+            (one_cell(4, 1.5), ":2: density 1.5 outside (0, 1]"),
         ],
-        ids=["missing", "empty", "header", "no-rows", "bad-number", "short-row"],
+        ids=["missing", "empty", "header", "no-rows", "bad-number", "short-row",
+             "one-node", "nan-density", "density-above-one"],
     )
     def test_bad_report_is_a_usage_error(self, tmp_path, capsys, content, message):
         report = tmp_path / "report.csv"

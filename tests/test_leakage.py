@@ -1,6 +1,6 @@
-import fcntl
 import math
 import os
+import time
 import tracemalloc
 
 import numpy as np
@@ -676,19 +676,11 @@ class TestWorkerPool:
         assert len(cells) == len(set(cells)) == 4
 
     def test_tasks_beyond_a_full_task_pipe_all_run(self, monkeypatch):
-        # With one-page pipes the task pipe holds 1,024 indices up front;
-        # the rest go in as the workers drain it, and each runs once.
-        real_pipe = os.pipe
-
-        def small_pipe():
-            r, w = real_pipe()
-            fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 4096)
-            return r, w
-
+        # Far more tasks than workers, each sent to a worker only when its
+        # last reply has arrived: every one runs once, in sweep order.
         def one_pair(est, mode, corrupt, *args):
             return [(corrupt[0], 0, 1.0)]
 
-        monkeypatch.setattr(os, "pipe", small_pipe)
         monkeypatch.setattr(leakage, "_corrupt_pairs", one_pair)
         config = ExperimentConfig(
             n_values=(400, 401, 402), densities=(1.0,), samples=100, modes=(Mode.CFL_SA,)
@@ -697,6 +689,41 @@ class TestWorkerPool:
         assert [(p.n, p.k) for p in report.pairs] == [
             (n, k) for n in (400, 401, 402) for k in range(n)
         ]
+
+    def test_a_worker_holds_one_task_and_none_goes_out_after_a_failure(
+        self, monkeypatch, tmp_path
+    ):
+        # One worker, which starts the tasks in sweep order. While the
+        # parent is busy after the first cell, the worker can run only the
+        # task it holds; after the failing task no other one starts.
+        real = leakage._corrupt_pairs
+        started = tmp_path / "started"
+
+        def failing(est, mode, corrupt, graph, weights):
+            with open(started, "a") as log:
+                log.write(f"{graph.density} {mode.value} {corrupt}\n")
+            if graph.density == 1.0 and mode is Mode.CFL_SA and corrupt == (2,):
+                raise ValueError("task fails")
+            return real(est, mode, corrupt, graph, weights)
+
+        def progress(done, *args):
+            if done == 1:
+                time.sleep(0.5)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(leakage, "_corrupt_pairs", failing)
+        with pytest.raises(ValueError, match="^task fails$"):
+            run_experiment(self.CONFIG, progress)
+        tasks = [
+            f"{graph.density} {mode.value} {corrupt}"
+            for d in self.CONFIG.densities
+            for graph in [cell_topology(self.CONFIG.seed, 6, d)[0]]
+            for mode in self.CONFIG.modes
+            for corrupt in leakage._shared_views(mode, 6, graph)
+        ]
+        j = tasks.index("1.0 cfl_sa (2,)")
+        assert started.read_text().splitlines() == tasks[: j + 1]
+        assert_no_child()
 
     @pytest.mark.parametrize("density, observed", [(0.3, 5), (0.9, 3)])
     def test_shared_dfl_views_are_observed_once(self, monkeypatch, tmp_path, density, observed):
